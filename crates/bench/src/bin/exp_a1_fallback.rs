@@ -7,10 +7,10 @@
 //! fallback — demonstrating both why lines 5–6 exist and that the
 //! measured failure mass matches the `E[Y] ≤ Σ 1/(δ⁽¹⁾+1)` accounting.
 
-use kw_bench::stats;
-use kw_bench::table::Table;
 use kw_bench::workloads::small_suite;
 use kw_core::rounding::{run_rounding, RoundingConfig};
+use kw_results::render::Table;
+use kw_results::Percentiles;
 use kw_sim::EngineConfig;
 
 fn main() {
@@ -48,16 +48,24 @@ fn main() {
         }
         // E[Y] bound from Theorem 3's proof: Σ 1/(δ⁽¹⁾+1) — Lemma 1's value.
         let ey_bound = kw_lp::bounds::lemma1_bound(&g);
+        let mean_uncovered = Percentiles::from_samples(&uncovered).mean;
+        // Unbiased sample standard deviation of the uncovered counts.
+        let sd_uncovered = (uncovered
+            .iter()
+            .map(|x| (x - mean_uncovered).powi(2))
+            .sum::<f64>()
+            / (trials - 1) as f64)
+            .sqrt();
         table.row([
             w.label(),
-            format!("{:.2}", stats::mean(&uncovered)),
+            format!("{mean_uncovered:.2}"),
             format!("{ey_bound:.2}"),
             format!("{:.2}", failures as f64 / trials as f64),
-            format!("{:.1}", stats::mean(&sizes_no)),
-            format!("{:.1}", stats::mean(&sizes_with)),
+            format!("{:.1}", Percentiles::from_samples(&sizes_no).mean),
+            format!("{:.1}", Percentiles::from_samples(&sizes_with).mean),
         ]);
         assert!(
-            stats::mean(&uncovered) <= ey_bound + 3.0 * stats::std_dev(&uncovered),
+            mean_uncovered <= ey_bound + 3.0 * sd_uncovered,
             "uncovered mass exceeds the q_i accounting"
         );
     }

@@ -16,11 +16,12 @@
 //! solves cells it never recorded.
 
 use kw_bench::denominators::best_denominator;
-use kw_bench::table::Table;
 use kw_bench::workloads::Workload;
 use kw_core::math;
 use kw_core::solver::{ExperimentRunner, SolverRegistry};
 use kw_results::pipeline::SweepSession;
+use kw_results::render::Table;
+use kw_results::Summary;
 
 fn main() {
     println!("A2 — LP-relaxation (KW) vs greedy parallelization (JRS) at equal rounds\n");
@@ -76,7 +77,8 @@ fn main() {
                 |_| {},
             )
             .expect("jrs sweep");
-        let jrs_cell = &jrs_out.cells[0];
+        let jrs_summary = Summary::from_records(&jrs_out.records);
+        let jrs_cell = &jrs_summary.cells[0];
         assert_eq!(jrs_cell.failures, 0);
         let budget = jrs_cell.rounds.mean as usize;
         // Largest k whose pipeline (4k² + 2k + 2 rounds) fits the budget.
@@ -94,7 +96,8 @@ fn main() {
                 |_| {},
             )
             .expect("kw sweep");
-        let kw_cell = &kw_out.cells[0];
+        let kw_summary = Summary::from_records(&kw_out.records);
+        let kw_cell = &kw_summary.cells[0];
         assert_eq!(kw_cell.failures, 0);
         solved += jrs_out.solved + kw_out.solved;
         cached += jrs_out.cached + kw_out.cached;

@@ -16,11 +16,11 @@
 //! goes through the same `DsSolver` trait as every reliable experiment;
 //! the certificate reports whether domination survived.
 
-use kw_bench::stats;
-use kw_bench::table::Table;
 use kw_core::solver::{SolveContext, SolverRegistry};
 use kw_graph::generators;
-use kw_sim::FaultPlan;
+use kw_results::render::Table;
+use kw_results::Percentiles;
+use kw_sim::ChaosPlan;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -54,7 +54,9 @@ fn main() {
         for seed in 0..seeds {
             let ctx = SolveContext {
                 seed,
-                faults: FaultPlan::drop_with_probability(drop, seed ^ 0xfa).into(),
+                faults: ChaosPlan::reliable()
+                    .with_drop(drop)
+                    .with_fault_seed(seed ^ 0xfa),
                 ..SolveContext::default()
             };
             let report = solver.solve(&g, &ctx).expect("pipeline runs");
@@ -72,13 +74,14 @@ fn main() {
             assert_eq!(cert.dominates, miss == 0);
             dominating += u64::from(cert.dominates);
         }
+        let mean_size = Percentiles::from_samples(&sizes).mean;
         table.row([
             format!("{drop:.2}"),
-            format!("{:.1}", stats::mean(&sizes)),
-            format!("{:.2}", stats::mean(&sizes) / lower),
-            format!("{:.1}", stats::mean(&fracs)),
+            format!("{mean_size:.1}"),
+            format!("{:.2}", mean_size / lower),
+            format!("{:.1}", Percentiles::from_samples(&fracs).mean),
             format!("{:.2}", dominating as f64 / seeds as f64),
-            format!("{:.2}", stats::mean(&uncovered)),
+            format!("{:.2}", Percentiles::from_samples(&uncovered).mean),
         ]);
     }
     println!("{table}");

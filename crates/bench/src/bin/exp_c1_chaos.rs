@@ -22,10 +22,10 @@
 //! binary replays every cell from the store — the binary asserts the
 //! 100% cache-hit resume itself.
 
-use kw_bench::table::Table;
 use kw_bench::workloads::Workload;
 use kw_core::solver::{DsSolver, ExperimentRunner, SolveContext};
 use kw_results::pipeline::SweepSession;
+use kw_results::render::Table;
 use kw_results::summary::Summary;
 use kw_sim::ChaosPlan;
 
@@ -82,6 +82,7 @@ fn main() {
     ]);
     for (label, clause) in LEVELS {
         let faults = ChaosPlan::parse(clause).expect("ladder clause parses");
+        let chaos = faults.spec();
         let runner = ExperimentRunner::new().workers(0).context(SolveContext {
             faults,
             ..SolveContext::default()
@@ -92,7 +93,11 @@ fn main() {
         if let Some(e) = &out.store_error {
             eprintln!("warning: run store append failed ({e})");
         }
-        for (i, cell) in out.cells.iter().enumerate() {
+        let summary = Summary::from_records(&out.records);
+        for (i, (workload, _)) in workloads.iter().enumerate() {
+            let cell = summary
+                .cell_under(&solvers[0].spec(), workload, &chaos, 1)
+                .expect("every workload ran at this level");
             if *clause == LEVELS[0].1 {
                 reliable_msgs.push(cell.messages.mean);
             }

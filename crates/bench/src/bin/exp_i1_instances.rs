@@ -18,11 +18,11 @@
 //! exp_i1_instances dimacs:instances/queen5_5.col gnp:n=128,p=0.05
 //! ```
 
-use kw_bench::table::Table;
 use kw_bench::workloads::{parse_suite, Workload};
 use kw_core::solver::ExperimentRunner;
 use kw_graph::CsrGraph;
 use kw_results::pipeline::SweepSession;
+use kw_results::render::Table;
 use kw_results::summary::Summary;
 
 fn main() {
@@ -84,9 +84,10 @@ fn main() {
     if let Some(e) = &out.store_error {
         eprintln!("warning: run store append failed ({e})");
     }
-    for cell in &out.cells {
-        assert_eq!(cell.failures, 0, "reliable network never fails to dominate");
-    }
+    assert!(
+        out.records.iter().all(|r| r.outcome.dominates),
+        "reliable network never fails to dominate"
+    );
     println!("{}", Summary::from_records(&out.records).to_markdown());
     println!(
         "sweep: {} solved, {} cached, store {store_path}",
@@ -112,11 +113,10 @@ fn main() {
         (0, total),
         "resume must be 100% cache hits"
     );
-    for (a, b) in out.cells.iter().zip(&again.cells) {
-        assert_eq!(a.size, b.size, "{}/{}", a.solver, a.workload);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.ratio_vs_lemma1, b.ratio_vs_lemma1);
-    }
+    assert_eq!(
+        again.records, out.records,
+        "resume must replay the recorded outcomes"
+    );
     println!(
         "resume: {}/{total} cache hits, summaries identical — PASS",
         again.cached

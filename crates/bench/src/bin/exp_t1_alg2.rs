@@ -9,10 +9,10 @@
 //! Runs through the `DsSolver` trait: the `alg2:k=K` solver's report
 //! carries the fractional stage's solution and metrics.
 
-use kw_bench::table::Table;
 use kw_bench::workloads::small_suite;
 use kw_core::math;
 use kw_core::solver::{SolveContext, SolverRegistry};
+use kw_results::render::Table;
 
 fn main() {
     println!("T1 — Theorem 4: Algorithm 2 (Δ known), LP approximation ratio & rounds\n");

@@ -8,9 +8,9 @@
 //! Runs the `kw:k=K` solver through the `DsSolver` trait and reads the
 //! fractional (Algorithm 3) stage's metrics from its report.
 
-use kw_bench::table::Table;
 use kw_bench::workloads::Workload;
 use kw_core::solver::{SolveContext, SolverRegistry};
+use kw_results::render::Table;
 
 fn main() {
     println!("T3 — Theorem 6: per-node message count O(k²Δ), message size O(log Δ)\n");

@@ -6,11 +6,11 @@
 //! alternative.
 
 use kw_bench::denominators::best_denominator;
-use kw_bench::stats;
-use kw_bench::table::Table;
 use kw_bench::workloads::small_suite;
 use kw_core::math;
 use kw_core::rounding::{run_rounding, Multiplier, RoundingConfig};
+use kw_results::render::Table;
+use kw_results::Percentiles;
 use kw_sim::EngineConfig;
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
                 sizes.push(run.set.len() as f64);
                 fallbacks += run.fallback_members.iter().filter(|&&b| b).count() as u64;
             }
-            let mean = stats::mean(&sizes);
+            let mean = Percentiles::from_samples(&sizes).mean;
             let bound = match mult {
                 Multiplier::Ln => math::rounding_bound(1.0, g.max_degree()),
                 Multiplier::LnMinusLnLn => math::rounding_bound_alt(1.0, g.max_degree()),

@@ -4,11 +4,11 @@
 //! `k(Δ+1)^{1/k}[c_max(Δ+1)]^{1/k}` against the exact weighted LP
 //! optimum, and shows the benefit over the cost-blind algorithm.
 
-use kw_bench::table::Table;
 use kw_core::math;
 use kw_core::solver::{SolveContext, SolverRegistry};
 use kw_core::weighted::run_weighted_alg2;
 use kw_graph::{generators, VertexWeights};
+use kw_results::render::Table;
 use kw_sim::EngineConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -12,11 +12,12 @@
 //! resumable: kill it at any rung and restart to continue from there.
 
 use kw_bench::denominators::best_denominator;
-use kw_bench::table::Table;
 use kw_core::math;
 use kw_core::solver::{ExperimentRunner, SolverRegistry};
 use kw_graph::generators;
 use kw_results::pipeline::SweepSession;
+use kw_results::render::Table;
+use kw_results::Summary;
 
 fn main() {
     println!("T7 — k = Θ(log Δ): O(log²Δ) ratio in O(log²Δ) rounds\n");
@@ -59,7 +60,8 @@ fn main() {
                 |_| {},
             )
             .expect("sweep runs");
-        let cell = &out.cells[0];
+        let summary = Summary::from_records(&out.records);
+        let cell = &summary.cells[0];
         assert_eq!(cell.failures, 0);
         solved += out.solved;
         cached += out.cached;

@@ -7,10 +7,10 @@
 //! how much is lost by the relaxation itself — context for why the
 //! LP-relative ratios in T1/T2 are meaningful.
 
-use kw_bench::table::Table;
 use kw_bench::workloads::small_suite;
 use kw_lp::exact::{solve_mds, ExactOptions};
 use kw_lp::{bounds, domset};
+use kw_results::render::Table;
 
 fn main() {
     println!("T8 — Lemma 1: lemma1 ≤ LP_OPT ≤ |DS_OPT| and the integrality gap\n");

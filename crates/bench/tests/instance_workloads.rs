@@ -36,19 +36,19 @@ fn bundled_instances_reach_solvers_through_the_spec_grammar() {
     assert_eq!(suite.len(), instances::BUNDLED.len());
     let registry = kw_baselines::registry();
     let solvers = registry.build_all(["kw:k=2", "greedy"]).unwrap();
-    let cells = ExperimentRunner::new()
-        .run_matrix(&solvers, &materialize(&suite), 0..2)
+    let records = ExperimentRunner::new()
+        .run_matrix(&solvers, &materialize(&suite), 0..2, None)
         .expect("instance matrix runs");
-    assert_eq!(cells.len(), 2 * suite.len());
-    for cell in &cells {
-        assert_eq!(cell.failures, 0, "{}/{}", cell.solver, cell.workload);
-        assert!(cell.ratio_vs_lemma1.mean >= 1.0 - 1e-9);
+    assert_eq!(records.len(), 2 * suite.len() * 2);
+    for r in &records {
+        assert!(r.outcome.dominates, "{}/{}", r.solver, r.workload);
+        assert!(r.outcome.ratio_vs_lemma1 >= 1.0 - 1e-9);
     }
 }
 
 /// The acceptance criterion of ROADMAP item (g): a bundled instance
 /// completes a cached, persistent sweep, and a fresh session over the
-/// same store resumes to 100% cache hits with identical summaries.
+/// same store resumes to 100% cache hits with identical records.
 #[test]
 fn instance_sweep_persists_and_resumes_to_full_cache_hits() {
     let path = temp_store("resume");
@@ -78,11 +78,7 @@ fn instance_sweep_persists_and_resumes_to_full_cache_hits() {
         (0, total),
         "resume must re-solve nothing"
     );
-    for (a, b) in first.cells.iter().zip(&second.cells) {
-        assert_eq!(a.size, b.size, "{}/{}", a.solver, a.workload);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.ratio_vs_lemma1, b.ratio_vs_lemma1);
-    }
+    assert_eq!(second.records, first.records);
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -143,9 +139,10 @@ fn mixed_generated_and_instance_matrices_sweep_together() {
     let suite = parse_suite(["gnp:n=32,p=0.2", "dimacs:instances/myciel3.col"]).unwrap();
     let registry = kw_baselines::registry();
     let solvers = registry.build_all(["greedy"]).unwrap();
-    let cells = ExperimentRunner::new()
-        .run_matrix(&solvers, &materialize(&suite), 0..2)
+    let records = ExperimentRunner::new()
+        .run_matrix(&solvers, &materialize(&suite), 0..2, None)
         .expect("mixed matrix runs");
-    let labels: Vec<&str> = cells.iter().map(|c| c.workload.as_str()).collect();
+    let mut labels: Vec<&str> = records.iter().map(|r| r.workload.as_str()).collect();
+    labels.dedup();
     assert_eq!(labels, ["gnp(n=32,p=0.2)", "dimacs(myciel3)"]);
 }

@@ -132,8 +132,7 @@ impl Pipeline {
     /// Runs the pipeline under a chaos plan: iid losses, correlated drop
     /// bursts, crash/recover schedules, adversarial (byzantine) senders,
     /// and inter-round churn (robustness ablation A3; the paper's model is
-    /// the reliable special case). A plain [`kw_sim::FaultPlan`] converts
-    /// via `.into()`.
+    /// the reliable special case).
     ///
     /// Both simulation stages (fractional solver, then rounding) run under
     /// the same plan, each from its own round 0 — chaos round numbers are

@@ -1,8 +1,8 @@
 //! Streaming sweep events (ROADMAP item (c)).
 //!
-//! [`ExperimentRunner::run_matrix_streaming`] reports progress *while* a
-//! solver × workload × seed matrix executes, instead of staying silent
-//! until the final barrier: every `(solver, workload, seed)` run — a
+//! [`ExperimentRunner::run_matrix`], given an event sender, reports
+//! progress *while* a solver × workload × seed matrix executes, instead
+//! of staying silent until the final barrier: every `(solver, workload, seed)` run — a
 //! *cell* in store terminology — produces a [`RunEvent::CellStarted`]
 //! followed by exactly one terminal event (`CellFinished`, `CellCached`,
 //! or `CellFailed`), bracketed by one `SweepStarted`/`SweepFinished`
@@ -22,7 +22,7 @@
 //! per-worker event streams are monotonic. No ordering is promised
 //! *between* workers (cells are work-stolen).
 //!
-//! [`ExperimentRunner::run_matrix_streaming`]: super::ExperimentRunner::run_matrix_streaming
+//! [`ExperimentRunner::run_matrix`]: super::ExperimentRunner::run_matrix
 
 use super::runner::RunOutcome;
 

@@ -54,7 +54,7 @@ use crate::CoreError;
 pub use events::{RunEvent, RunRecord};
 pub use pipeline_solvers::{CompositeSolver, PipelineSolver};
 pub use registry::SolverRegistry;
-pub use runner::{CellSummary, ExperimentCache, ExperimentRunner, RunOutcome, SummaryStats};
+pub use runner::{ExperimentCache, ExperimentRunner, RunOutcome};
 pub use spec::SolverSpec;
 
 /// Execution environment of a solve call.
@@ -71,8 +71,7 @@ pub struct SolveContext {
     /// `0` = all available cores). Never affects results.
     pub threads: usize,
     /// Chaos model — iid losses, drop bursts, crashes, byzantine senders,
-    /// churn (defaults to the paper's reliable network). A plain
-    /// [`kw_sim::FaultPlan`] converts via `.into()`.
+    /// churn (defaults to the paper's reliable network).
     pub faults: ChaosPlan,
     /// Whether to attach a quality [`Certificate`] to reports
     /// (verification + Lemma-1 ratio; costs one `is_dominating` pass).

@@ -1,6 +1,7 @@
 //! Batched experiment execution over a solver × workload × seed matrix,
-//! with an optional `(workload, seed)`-keyed cell cache and a streaming
-//! mode that reports progress cell-by-cell over a bounded channel.
+//! with an optional `(workload, seed)`-keyed cell cache and optional
+//! cell-by-cell progress events over a bounded channel. A sweep returns
+//! one [`RunRecord`] per run; rollups live in `kw_results::Summary`.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -14,9 +15,9 @@ use kw_graph::CsrGraph;
 use crate::solver::events::{RunEvent, RunRecord};
 use crate::solver::{traced_solve, DsSolver, SolveContext, SolveError};
 
-/// The numbers a [`CellSummary`] aggregates from one `(solver, workload,
-/// seed)` run — everything the runner (and the `kw_results` run store)
-/// needs to re-summarize a cell without re-solving it.
+/// The numbers one `(solver, workload, seed)` run produced — everything
+/// the runner (and the `kw_results` run store) needs to re-summarize a
+/// cell without re-solving it.
 ///
 /// `wall_ms` is measurement metadata, not part of the deterministic
 /// outcome: a cache hit or store replay reports the *original* solve's
@@ -80,9 +81,9 @@ type OutcomeKey = (String, String, u64, String, usize);
 /// let cache = ExperimentCache::new();
 /// let runner = ExperimentRunner::new().cache(cache.clone());
 /// let workloads = vec![("grid4".to_string(), generators::grid(4, 4))];
-/// let first = runner.run_matrix(&solvers, &workloads, 0..3)?;
-/// let again = runner.run_matrix(&solvers, &workloads, 0..3)?;
-/// assert_eq!(first[0].size, again[0].size);
+/// let first = runner.run_matrix(&solvers, &workloads, 0..3, None)?;
+/// let again = runner.run_matrix(&solvers, &workloads, 0..3, None)?;
+/// assert_eq!(first, again); // hits replay the original outcomes exactly
 /// assert_eq!(cache.hits(), 3); // the second sweep re-solved nothing
 /// # Ok::<(), kw_core::solver::SolveError>(())
 /// ```
@@ -246,73 +247,14 @@ impl ExperimentCache {
     }
 }
 
-/// Five-number summary of a sample set.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SummaryStats {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean (0 when empty).
-    pub mean: f64,
-    /// Population standard deviation (0 when empty).
-    pub std_dev: f64,
-    /// Minimum (0 when empty).
-    pub min: f64,
-    /// Maximum (0 when empty).
-    pub max: f64,
-}
-
-impl SummaryStats {
-    /// Summarizes `samples`.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
-        let count = samples.len();
-        let mean = samples.iter().sum::<f64>() / count as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / count as f64;
-        SummaryStats {
-            count,
-            mean,
-            std_dev: var.sqrt(),
-            min: samples.iter().copied().fold(f64::INFINITY, f64::min),
-            max: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        }
-    }
-}
-
-/// Aggregated results of one (solver, workload) cell across seeds.
-#[derive(Clone, Debug)]
-pub struct CellSummary {
-    /// Canonical spec of the solver.
-    pub solver: String,
-    /// Workload label.
-    pub workload: String,
-    /// Node count of the workload graph.
-    pub n: usize,
-    /// Maximum degree `Δ` of the workload graph.
-    pub max_degree: usize,
-    /// Number of seeds run.
-    pub runs: usize,
-    /// Runs whose output failed to dominate (possible only under message
-    /// loss; always 0 on reliable networks).
-    pub failures: usize,
-    /// Dominating-set sizes.
-    pub size: SummaryStats,
-    /// Synchronous round counts (identical across seeds for the paper's
-    /// constant-round algorithms).
-    pub rounds: SummaryStats,
-    /// Total message counts.
-    pub messages: SummaryStats,
-    /// Ratio of set size to the Lemma-1 lower bound.
-    pub ratio_vs_lemma1: SummaryStats,
-}
-
 /// Runs solver × workload × seed matrices, optionally spreading cells
 /// over worker threads.
 ///
-/// Results are deterministic and thread-count-independent: each cell's
-/// seeds run in order, and cells are returned in solver-major order
-/// (`solvers[0]` over all workloads first) regardless of scheduling.
+/// Results are deterministic and thread-count-independent: each
+/// `(solver, workload)` cell runs its seeds in order, and records come
+/// back solver-major (`solvers[0]` over all workloads first), then by
+/// workload, then by seed in the caller's order — regardless of
+/// scheduling.
 ///
 /// # Example
 ///
@@ -323,11 +265,11 @@ pub struct CellSummary {
 /// let registry = SolverRegistry::with_core_solvers();
 /// let solvers = registry.build_all(["kw:k=2", "alg2:k=2"])?;
 /// let workloads = vec![("grid5".to_string(), generators::grid(5, 5))];
-/// let cells = ExperimentRunner::new()
-///     .run_matrix(&solvers, &workloads, 0..4)?;
-/// assert_eq!(cells.len(), 2);
-/// assert_eq!(cells[0].runs, 4);
-/// assert_eq!(cells[0].failures, 0);
+/// let records = ExperimentRunner::new()
+///     .run_matrix(&solvers, &workloads, 0..4, None)?;
+/// assert_eq!(records.len(), 2 * 4);
+/// assert_eq!(records[0].solver, "kw:k=2");
+/// assert!(records.iter().all(|r| r.outcome.dominates));
 /// # Ok::<(), kw_core::solver::SolveError>(())
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -370,62 +312,54 @@ impl ExperimentRunner {
         self.base.clone()
     }
 
-    /// Runs every solver on every workload for every seed, aggregating
-    /// each (solver, workload) cell.
+    /// Runs every solver on every workload for every seed and returns
+    /// one [`RunRecord`] per run, in the order documented on the type.
+    ///
+    /// With `events`, the sweep also reports progress while it executes:
+    /// every `(solver, workload, seed)` run emits a
+    /// [`RunEvent::CellStarted`] and exactly one terminal event
+    /// (`CellFinished` for fresh solves, `CellCached` for cache hits,
+    /// `CellFailed` for errors or panicking workers), bracketed by one
+    /// `SweepStarted`/`SweepFinished` pair. See [`events`](super::events)
+    /// for the ordering guarantees. The sender should come from a
+    /// **bounded** channel ([`std::sync::mpsc::sync_channel`]); a full
+    /// channel backpressures the workers, so drain it from another thread
+    /// (the `kw_results` crate's `stream_sweep`/`SweepSession` helpers do
+    /// this). A closed channel never fails the sweep — events are simply
+    /// discarded.
     ///
     /// # Errors
     ///
-    /// The first [`SolveError`] aborts the sweep. Outputs that fail to
-    /// dominate are *not* errors; they are counted per cell in
-    /// [`CellSummary::failures`] (and excluded from the quality stats).
+    /// The first [`SolveError`] aborts the sweep; a worker that panics
+    /// mid-solve surfaces as [`SolveError::Panicked`] (and a `CellFailed`
+    /// event) rather than a hang or an unwinding scope. Outputs that fail
+    /// to dominate are *not* errors: their records carry
+    /// `outcome.dominates == false`.
     pub fn run_matrix<S: DsSolver>(
         &self,
         solvers: &[S],
         workloads: &[(String, CsrGraph)],
         seeds: impl IntoIterator<Item = u64>,
-    ) -> Result<Vec<CellSummary>, SolveError> {
+        events: Option<SyncSender<RunEvent>>,
+    ) -> Result<Vec<RunRecord>, SolveError> {
         let seeds: Vec<u64> = seeds.into_iter().collect();
-        self.run_matrix_inner(solvers, workloads, &seeds, None, &SweepCounters::default())
-    }
-
-    /// Like [`run_matrix`](Self::run_matrix), but reports progress while
-    /// the matrix executes: every `(solver, workload, seed)` cell emits a
-    /// [`RunEvent::CellStarted`] and exactly one terminal event
-    /// (`CellFinished` for fresh solves, `CellCached` for cache hits,
-    /// `CellFailed` for errors or panicking workers), bracketed by one
-    /// `SweepStarted`/`SweepFinished` pair. See [`events`](super::events)
-    /// for the ordering guarantees.
-    ///
-    /// `events` should come from a **bounded** channel
-    /// ([`std::sync::mpsc::sync_channel`]); a full channel backpressures
-    /// the workers, so drain it from another thread (the `kw_results`
-    /// crate's `stream_sweep`/`SweepSession` helpers do this). A closed
-    /// channel never fails the sweep — events are simply discarded.
-    ///
-    /// A worker that panics mid-solve surfaces as a `CellFailed` event
-    /// and a [`SolveError::Panicked`] result rather than a hang or an
-    /// unwinding scope.
-    pub fn run_matrix_streaming<S: DsSolver>(
-        &self,
-        solvers: &[S],
-        workloads: &[(String, CsrGraph)],
-        seeds: impl IntoIterator<Item = u64>,
-        events: SyncSender<RunEvent>,
-    ) -> Result<Vec<CellSummary>, SolveError> {
-        let seeds: Vec<u64> = seeds.into_iter().collect();
-        let _ = events.send(RunEvent::SweepStarted {
-            solvers: solvers.len(),
-            workloads: workloads.len(),
-            seeds: seeds.len(),
-            runs: solvers.len() * workloads.len() * seeds.len(),
-        });
+        if let Some(tx) = &events {
+            let _ = tx.send(RunEvent::SweepStarted {
+                solvers: solvers.len(),
+                workloads: workloads.len(),
+                seeds: seeds.len(),
+                runs: solvers.len() * workloads.len() * seeds.len(),
+            });
+        }
         let counters = SweepCounters::default();
-        let result = self.run_matrix_inner(solvers, workloads, &seeds, Some(&events), &counters);
-        let _ = events.send(RunEvent::SweepFinished {
-            solved: counters.solved.load(Ordering::Relaxed),
-            cached: counters.cached.load(Ordering::Relaxed),
-            failed: counters.failed.load(Ordering::Relaxed),
-        });
+        let result = self.run_matrix_inner(solvers, workloads, &seeds, events.as_ref(), &counters);
+        if let Some(tx) = &events {
+            let _ = tx.send(RunEvent::SweepFinished {
+                solved: counters.solved.load(Ordering::Relaxed),
+                cached: counters.cached.load(Ordering::Relaxed),
+                failed: counters.failed.load(Ordering::Relaxed),
+            });
+        }
         result
     }
 
@@ -436,7 +370,7 @@ impl ExperimentRunner {
         seeds: &[u64],
         events: Option<&SyncSender<RunEvent>>,
         counters: &SweepCounters,
-    ) -> Result<Vec<CellSummary>, SolveError> {
+    ) -> Result<Vec<RunRecord>, SolveError> {
         // Labels key the cell cache and the run store; a duplicate label
         // would silently serve one workload the other's cached results,
         // so the matrix fails fast before any cell runs.
@@ -471,7 +405,7 @@ impl ExperimentRunner {
                 let (s, w) = cells[i];
                 let (label, graph) = &workloads[w];
                 match self.run_cell(&solvers[s], label, graph, seeds, emitter.as_mut(), counters) {
-                    Ok(summary) => results.lock().unwrap()[i] = Some(summary),
+                    Ok(records) => results.lock().unwrap()[i] = Some(records),
                     Err(e) => {
                         first_error.lock().unwrap().get_or_insert(e);
                         break;
@@ -496,7 +430,7 @@ impl ExperimentRunner {
             .into_inner()
             .unwrap()
             .into_iter()
-            .map(|c| c.expect("all cells completed"))
+            .flat_map(|c| c.expect("all cells completed"))
             .collect())
     }
 
@@ -508,7 +442,7 @@ impl ExperimentRunner {
         seeds: &[u64],
         mut emitter: Option<&mut Emitter>,
         counters: &SweepCounters,
-    ) -> Result<CellSummary, SolveError> {
+    ) -> Result<Vec<RunRecord>, SolveError> {
         // Certificates drive the ratio column and failure detection; the
         // sweep needs them regardless of the base context's preference.
         let ctx = SolveContext {
@@ -517,12 +451,7 @@ impl ExperimentRunner {
         };
         let chaos = ctx.faults.spec();
         let spec = solver.spec();
-        let mut sizes = Vec::new();
-        let mut rounds = Vec::new();
-        let mut messages = Vec::new();
-        let mut ratios = Vec::new();
-        let mut runs = 0usize;
-        let mut failures = 0usize;
+        let mut records = Vec::with_capacity(seeds.len());
         for &seed in seeds {
             if let Some(e) = emitter.as_deref_mut() {
                 e.emit(|worker, seq| RunEvent::CellStarted {
@@ -605,17 +534,18 @@ impl ExperimentRunner {
                     outcome
                 }
             };
+            let record = RunRecord {
+                solver: spec.clone(),
+                workload: label.to_string(),
+                n: graph.len(),
+                max_degree: graph.max_degree(),
+                seed,
+                chaos: chaos.clone(),
+                threads: ctx.threads,
+                outcome,
+            };
             if let Some(e) = emitter.as_deref_mut() {
-                let record = RunRecord {
-                    solver: spec.clone(),
-                    workload: label.to_string(),
-                    n: graph.len(),
-                    max_degree: graph.max_degree(),
-                    seed,
-                    chaos: chaos.clone(),
-                    threads: ctx.threads,
-                    outcome,
-                };
+                let record = record.clone();
                 e.emit(|worker, seq| {
                     if was_cached {
                         RunEvent::CellCached {
@@ -632,28 +562,9 @@ impl ExperimentRunner {
                     }
                 });
             }
-            runs += 1;
-            if !outcome.dominates {
-                failures += 1;
-                continue;
-            }
-            sizes.push(outcome.size);
-            rounds.push(outcome.rounds);
-            messages.push(outcome.messages);
-            ratios.push(outcome.ratio_vs_lemma1);
+            records.push(record);
         }
-        Ok(CellSummary {
-            solver: spec,
-            workload: label.to_string(),
-            n: graph.len(),
-            max_degree: graph.max_degree(),
-            runs,
-            failures,
-            size: SummaryStats::from_samples(&sizes),
-            rounds: SummaryStats::from_samples(&rounds),
-            messages: SummaryStats::from_samples(&messages),
-            ratio_vs_lemma1: SummaryStats::from_samples(&ratios),
-        })
+        Ok(records)
     }
 }
 
@@ -699,6 +610,7 @@ mod tests {
     use super::*;
     use crate::solver::SolverRegistry;
     use kw_graph::generators;
+    use kw_sim::ChaosPlan;
 
     fn workloads() -> Vec<(String, CsrGraph)> {
         vec![
@@ -707,44 +619,48 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn summary_stats_basics() {
-        let s = SummaryStats::from_samples(&[1.0, 2.0, 3.0]);
-        assert_eq!(s.count, 3);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert!((s.std_dev - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert_eq!((s.min, s.max), (1.0, 3.0));
-        assert_eq!(SummaryStats::from_samples(&[]), SummaryStats::default());
+    /// Records with the one measured field zeroed, so fresh solves of
+    /// the same matrix compare equal.
+    fn without_wall(mut records: Vec<RunRecord>) -> Vec<RunRecord> {
+        for r in &mut records {
+            r.outcome.wall_ms = 0.0;
+        }
+        records
     }
 
     #[test]
-    fn matrix_covers_all_cells_in_solver_major_order() {
+    fn matrix_returns_records_solver_major_then_workload_then_seed() {
         let registry = SolverRegistry::with_core_solvers();
         let solvers = registry.build_all(["kw:k=2", "composite:k=2"]).unwrap();
-        let cells = ExperimentRunner::new()
-            .run_matrix(&solvers, &workloads(), 0..3)
+        let records = ExperimentRunner::new()
+            .run_matrix(&solvers, &workloads(), [2, 0, 1], None)
             .unwrap();
-        assert_eq!(cells.len(), 4);
+        let mut expected = Vec::new();
+        for solver in ["kw:k=2", "composite:k=2"] {
+            for workload in ["grid4", "petersen"] {
+                for seed in [2, 0, 1] {
+                    expected.push((solver, workload, seed));
+                }
+            }
+        }
         assert_eq!(
-            cells
+            records
                 .iter()
-                .map(|c| (c.solver.as_str(), c.workload.as_str()))
+                .map(|r| (r.solver.as_str(), r.workload.as_str(), r.seed))
                 .collect::<Vec<_>>(),
-            vec![
-                ("kw:k=2", "grid4"),
-                ("kw:k=2", "petersen"),
-                ("composite:k=2", "grid4"),
-                ("composite:k=2", "petersen"),
-            ]
+            expected
         );
-        for cell in &cells {
-            assert_eq!(cell.runs, 3);
-            assert_eq!(cell.failures, 0);
-            assert_eq!(cell.size.count, 3);
-            assert!(cell.size.mean >= 1.0);
-            assert!(cell.ratio_vs_lemma1.mean >= 1.0 - 1e-9);
-            // Constant-round algorithms: identical rounds across seeds.
-            assert_eq!(cell.rounds.min, cell.rounds.max);
+        for r in &records {
+            assert!(r.outcome.dominates);
+            assert!(r.outcome.size >= 1.0);
+            assert!(r.outcome.ratio_vs_lemma1 >= 1.0 - 1e-9);
+            assert_eq!((r.chaos.as_str(), r.threads), ("", 1));
+        }
+        // Constant-round algorithms: identical rounds across seeds.
+        for cell in records.chunks(3) {
+            assert!(cell
+                .iter()
+                .all(|r| r.outcome.rounds == cell[0].outcome.rounds));
         }
     }
 
@@ -755,28 +671,21 @@ mod tests {
             .build_all(["kw:k=2", "alg2:k=2", "composite:k=3"])
             .unwrap();
         let seq = ExperimentRunner::new()
-            .run_matrix(&solvers, &workloads(), 0..2)
+            .run_matrix(&solvers, &workloads(), 0..2, None)
             .unwrap();
         let par = ExperimentRunner::new()
             .workers(4)
-            .run_matrix(&solvers, &workloads(), 0..2)
+            .run_matrix(&solvers, &workloads(), 0..2, None)
             .unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(
-                (a.solver.as_str(), a.workload.as_str()),
-                (b.solver.as_str(), b.workload.as_str())
-            );
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.messages, b.messages);
-        }
+        // Same records in the same order, whatever the scheduling.
+        assert_eq!(without_wall(seq), without_wall(par));
     }
 
     #[test]
     fn solve_errors_abort_the_sweep() {
         let registry = SolverRegistry::with_core_solvers();
         let solvers = registry.build_all(["kw:k=0"]).unwrap();
-        let err = ExperimentRunner::new().run_matrix(&solvers, &workloads(), 0..2);
+        let err = ExperimentRunner::new().run_matrix(&solvers, &workloads(), 0..2, None);
         assert!(matches!(err, Err(SolveError::Core(_))));
     }
 
@@ -791,7 +700,7 @@ mod tests {
             ("petersen".to_string(), generators::petersen()),
             ("grid".to_string(), generators::grid(5, 5)),
         ];
-        match ExperimentRunner::new().run_matrix(&solvers, &dup, 0..2) {
+        match ExperimentRunner::new().run_matrix(&solvers, &dup, 0..2, None) {
             Err(SolveError::DuplicateWorkload { label }) => assert_eq!(label, "grid"),
             other => panic!("expected DuplicateWorkload, got {other:?}"),
         }
@@ -801,7 +710,7 @@ mod tests {
         let (tx, rx) = sync_channel(64);
         let (result, events) = std::thread::scope(|scope| {
             let consumer = scope.spawn(move || rx.iter().collect::<Vec<RunEvent>>());
-            let result = ExperimentRunner::new().run_matrix_streaming(&solvers, &dup, 0..2, tx);
+            let result = ExperimentRunner::new().run_matrix(&solvers, &dup, 0..2, Some(tx));
             (result, consumer.join().unwrap())
         });
         assert!(matches!(result, Err(SolveError::DuplicateWorkload { .. })));
@@ -815,10 +724,10 @@ mod tests {
     fn empty_matrix_is_empty() {
         let registry = SolverRegistry::with_core_solvers();
         let solvers = registry.build_all(["kw"]).unwrap();
-        let cells = ExperimentRunner::new()
-            .run_matrix(&solvers, &[], 0..2)
+        let records = ExperimentRunner::new()
+            .run_matrix(&solvers, &[], 0..2, None)
             .unwrap();
-        assert!(cells.is_empty());
+        assert!(records.is_empty());
     }
 
     #[test]
@@ -827,11 +736,15 @@ mod tests {
         let solvers = registry.build_all(["kw:k=2", "composite:k=2"]).unwrap();
         let cache = ExperimentCache::new();
         let runner = ExperimentRunner::new().cache(cache.clone());
-        let first = runner.run_matrix(&solvers, &workloads(), 0..3).unwrap();
+        let first = runner
+            .run_matrix(&solvers, &workloads(), 0..3, None)
+            .unwrap();
         let triples = solvers.len() * workloads().len() * 3;
         assert_eq!(cache.misses(), triples as u64);
         assert_eq!(cache.hits(), 0);
-        let second = runner.run_matrix(&solvers, &workloads(), 0..3).unwrap();
+        let second = runner
+            .run_matrix(&solvers, &workloads(), 0..3, None)
+            .unwrap();
         assert_eq!(
             cache.hits(),
             triples as u64,
@@ -842,13 +755,8 @@ mod tests {
             triples as u64,
             "second sweep must not solve"
         );
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.messages, b.messages);
-            assert_eq!(a.ratio_vs_lemma1, b.ratio_vs_lemma1);
-            assert_eq!(a.failures, b.failures);
-        }
+        // Hits replay the stored outcomes, wall time included.
+        assert_eq!(first, second);
     }
 
     #[test]
@@ -857,24 +765,26 @@ mod tests {
         let solvers = registry.build_all(["kw:k=2"]).unwrap();
         let cache = ExperimentCache::new();
         let runner = ExperimentRunner::new().cache(cache.clone());
-        let narrow = runner.run_matrix(&solvers, &workloads(), 0..2).unwrap();
+        let narrow = runner
+            .run_matrix(&solvers, &workloads(), 0..2, None)
+            .unwrap();
         // Widening the seed range re-solves only the new seeds.
-        let wide = runner.run_matrix(&solvers, &workloads(), 0..4).unwrap();
+        let wide = runner
+            .run_matrix(&solvers, &workloads(), 0..4, None)
+            .unwrap();
         assert_eq!(cache.hits(), (solvers.len() * workloads().len() * 2) as u64);
         assert_eq!(
             cache.misses(),
             (solvers.len() * workloads().len() * 4) as u64
         );
-        assert_eq!(wide[0].runs, 4);
-        // And matches an uncached run bit for bit.
+        assert_eq!((narrow.len(), wide.len()), (4, 8));
+        // The cached seeds replay exactly what the narrow sweep solved.
+        assert_eq!(wide[..2], narrow[..2]);
+        // And the whole sweep matches an uncached run bit for bit.
         let uncached = ExperimentRunner::new()
-            .run_matrix(&solvers, &workloads(), 0..4)
+            .run_matrix(&solvers, &workloads(), 0..4, None)
             .unwrap();
-        for (a, b) in wide.iter().zip(&uncached) {
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.messages, b.messages);
-        }
-        assert_eq!(narrow[0].runs, 2);
+        assert_eq!(without_wall(wide), without_wall(uncached));
     }
 
     #[test]
@@ -884,46 +794,44 @@ mod tests {
         let cache = ExperimentCache::new();
         let cached_runner = ExperimentRunner::new().workers(4).cache(cache);
         let warm = cached_runner
-            .run_matrix(&solvers, &workloads(), 0..2)
+            .run_matrix(&solvers, &workloads(), 0..2, None)
             .unwrap();
         let replay = cached_runner
-            .run_matrix(&solvers, &workloads(), 0..2)
+            .run_matrix(&solvers, &workloads(), 0..2, None)
             .unwrap();
-        for (a, b) in warm.iter().zip(&replay) {
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.messages, b.messages);
-            assert_eq!(a.ratio_vs_lemma1, b.ratio_vs_lemma1);
-        }
+        assert_eq!(warm, replay);
     }
 
     #[test]
     fn cache_distinguishes_fault_plans() {
-        use kw_sim::FaultPlan;
         let registry = SolverRegistry::with_core_solvers();
         let solvers = registry.build_all(["kw:k=2"]).unwrap();
         let cache = ExperimentCache::new();
         let reliable = ExperimentRunner::new().cache(cache.clone());
         let lossy = ExperimentRunner::new()
             .context(SolveContext {
-                faults: FaultPlan::drop_with_probability(0.4, 5).into(),
+                faults: ChaosPlan::reliable().with_drop(0.4).with_fault_seed(5),
                 ..Default::default()
             })
             .cache(cache.clone());
-        let clean = reliable.run_matrix(&solvers, &workloads(), 0..2).unwrap();
-        let noisy = lossy.run_matrix(&solvers, &workloads(), 0..2).unwrap();
+        let clean = reliable
+            .run_matrix(&solvers, &workloads(), 0..2, None)
+            .unwrap();
+        let noisy = lossy
+            .run_matrix(&solvers, &workloads(), 0..2, None)
+            .unwrap();
         // The lossy sweep must not be served the reliable outcomes.
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), (2 * workloads().len() * 2) as u64);
         // And a lossy re-run hits only the lossy entries.
-        let noisy_again = lossy.run_matrix(&solvers, &workloads(), 0..2).unwrap();
+        let noisy_again = lossy
+            .run_matrix(&solvers, &workloads(), 0..2, None)
+            .unwrap();
         assert_eq!(cache.hits(), (workloads().len() * 2) as u64);
-        for (a, b) in noisy.iter().zip(&noisy_again) {
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.failures, b.failures);
-        }
-        // Sanity: lossy messages differ from reliable only via outcomes,
-        // both summaries exist independently.
-        assert_eq!(clean[0].runs, 2);
+        assert_eq!(noisy, noisy_again);
+        // Each sweep's records name the plan they ran under.
+        assert!(clean.iter().all(|r| r.chaos.is_empty()));
+        assert!(noisy.iter().all(|r| r.chaos == "drop=0.4,seed=5"));
     }
 
     /// Satellite coverage for outcome keying: two *lossy* plans that
@@ -931,32 +839,36 @@ mod tests {
     /// (the fingerprint covers both the probability and the seed).
     #[test]
     fn cache_distinguishes_fault_seeds_of_equal_drop_rates() {
-        use kw_sim::FaultPlan;
         let registry = SolverRegistry::with_core_solvers();
         let solvers = registry.build_all(["kw:k=2"]).unwrap();
         let cache = ExperimentCache::new();
         let lossy = |fault_seed: u64| {
             ExperimentRunner::new()
                 .context(SolveContext {
-                    faults: FaultPlan::drop_with_probability(0.3, fault_seed).into(),
+                    faults: ChaosPlan::reliable()
+                        .with_drop(0.3)
+                        .with_fault_seed(fault_seed),
                     ..Default::default()
                 })
                 .cache(cache.clone())
         };
-        let a = lossy(1).run_matrix(&solvers, &workloads(), 0..3).unwrap();
+        let a = lossy(1)
+            .run_matrix(&solvers, &workloads(), 0..3, None)
+            .unwrap();
         let misses_after_a = cache.misses();
-        let b = lossy(2).run_matrix(&solvers, &workloads(), 0..3).unwrap();
+        let b = lossy(2)
+            .run_matrix(&solvers, &workloads(), 0..3, None)
+            .unwrap();
         // Same drop probability, different loss process: nothing shared.
         assert_eq!(cache.hits(), 0, "distinct fault seeds must not share");
         assert_eq!(cache.misses(), 2 * misses_after_a);
         // Each plan still hits its own entries on replay.
-        let a2 = lossy(1).run_matrix(&solvers, &workloads(), 0..3).unwrap();
+        let a2 = lossy(1)
+            .run_matrix(&solvers, &workloads(), 0..3, None)
+            .unwrap();
         assert_eq!(cache.hits(), misses_after_a);
-        for (x, y) in a.iter().zip(&a2) {
-            assert_eq!(x.size, y.size);
-            assert_eq!(x.failures, y.failures);
-        }
-        let _ = b;
+        assert_eq!(a, a2);
+        assert_ne!(a, b);
     }
 
     #[test]
@@ -969,24 +881,20 @@ mod tests {
         let runner = ExperimentRunner::new().workers(4).cache(cache.clone());
         let run = |runner: &ExperimentRunner| {
             let (tx, rx) = sync_channel(4); // deliberately tight: exercises backpressure
-            let (cells, events) = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let consumer = scope.spawn(move || rx.iter().collect::<Vec<RunEvent>>());
-                let cells = runner
-                    .run_matrix_streaming(&solvers, &workloads(), 0..3, tx)
+                let records = runner
+                    .run_matrix(&solvers, &workloads(), 0..3, Some(tx))
                     .unwrap();
-                (cells, consumer.join().unwrap())
-            });
-            (cells, events)
+                (records, consumer.join().unwrap())
+            })
         };
-        let (cells, events) = run(&runner);
-        // The streamed summaries equal the batch API's.
+        let (records, events) = run(&runner);
+        // Streaming returns the same records as a silent sweep.
         let batch = ExperimentRunner::new()
-            .run_matrix(&solvers, &workloads(), 0..3)
+            .run_matrix(&solvers, &workloads(), 0..3, None)
             .unwrap();
-        for (a, b) in cells.iter().zip(&batch) {
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.messages, b.messages);
-        }
+        assert_eq!(without_wall(records.clone()), without_wall(batch));
         // Bracketing events frame the sweep.
         assert!(matches!(
             events.first(),
@@ -1032,7 +940,8 @@ mod tests {
         }
         // A second streaming sweep over the same matrix is all cache hits,
         // reported as CellCached events carrying the original outcomes.
-        let (_, replay_events) = run(&runner);
+        let (replayed, replay_events) = run(&runner);
+        assert_eq!(replayed, records);
         let cached_count = replay_events
             .iter()
             .filter(|e| matches!(e, RunEvent::CellCached { .. }))
@@ -1055,7 +964,7 @@ mod tests {
         let (tx, rx) = sync_channel(64);
         let (result, events) = std::thread::scope(|scope| {
             let consumer = scope.spawn(move || rx.iter().collect::<Vec<RunEvent>>());
-            let result = runner.run_matrix_streaming(&solvers, &workloads(), 0..2, tx);
+            let result = runner.run_matrix(&solvers, &workloads(), 0..2, Some(tx));
             (result, consumer.join().unwrap())
         });
         assert!(matches!(result, Err(SolveError::Core(_))));
@@ -1100,7 +1009,7 @@ mod tests {
         let (tx, rx) = sync_channel(64);
         let (result, events) = std::thread::scope(|scope| {
             let consumer = scope.spawn(move || rx.iter().collect::<Vec<RunEvent>>());
-            let result = runner.run_matrix_streaming(&[Poisoned], &workloads(), 0..3, tx);
+            let result = runner.run_matrix(&[Poisoned], &workloads(), 0..3, Some(tx));
             (result, consumer.join().unwrap())
         });
         match result {
@@ -1179,7 +1088,7 @@ mod tests {
         let (tx, rx) = sync_channel(64);
         let (result, events) = std::thread::scope(|scope| {
             let consumer = scope.spawn(move || rx.iter().collect::<Vec<RunEvent>>());
-            let result = runner.run_matrix_streaming(&[PoolBomb], &grid, 0..1, tx);
+            let result = runner.run_matrix(&[PoolBomb], &grid, 0..1, Some(tx));
             (result, consumer.join().unwrap())
         });
         match result {
@@ -1211,7 +1120,9 @@ mod tests {
         // Solve once to learn the true outcomes.
         let warm_cache = ExperimentCache::new();
         let runner = ExperimentRunner::new().cache(warm_cache.clone());
-        let live = runner.run_matrix(&solvers, &workloads(), 0..2).unwrap();
+        let live = runner
+            .run_matrix(&solvers, &workloads(), 0..2, None)
+            .unwrap();
         // Replay them into a *fresh* cache through the resume hook.
         let replayed = ExperimentCache::new();
         {
@@ -1222,18 +1133,14 @@ mod tests {
         }
         let resumed = ExperimentRunner::new()
             .cache(replayed.clone())
-            .run_matrix(&solvers, &workloads(), 0..2)
+            .run_matrix(&solvers, &workloads(), 0..2, None)
             .unwrap();
         assert_eq!(replayed.misses(), 0, "resume must re-solve nothing");
         assert_eq!(
             replayed.hits(),
             (solvers.len() * workloads().len() * 2) as u64
         );
-        for (a, b) in live.iter().zip(&resumed) {
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.messages, b.messages);
-            assert_eq!(a.ratio_vs_lemma1, b.ratio_vs_lemma1);
-        }
+        assert_eq!(live, resumed);
     }
 
     #[test]
@@ -1273,7 +1180,9 @@ mod tests {
         assert_eq!(cache.outcome_count(), 0);
         assert!(cache.outcome("kw:k=2", "grid4", 0, &ctx).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        runner.run_matrix(&solvers, &workloads(), 0..2).unwrap();
+        runner
+            .run_matrix(&solvers, &workloads(), 0..2, None)
+            .unwrap();
         assert_eq!(cache.outcome_count(), 2 * workloads().len());
         let hits_before = cache.hits();
         let outcome = cache
@@ -1283,7 +1192,7 @@ mod tests {
         assert_eq!(cache.hits(), hits_before + 1);
         // A different fault plan is a different cell.
         let faulty = SolveContext {
-            faults: kw_sim::FaultPlan::drop_with_probability(0.5, 7).into(),
+            faults: ChaosPlan::reliable().with_drop(0.5).with_fault_seed(7),
             ..ctx.clone()
         };
         assert!(cache.outcome("kw:k=2", "grid4", 0, &faulty).is_none());

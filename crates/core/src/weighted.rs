@@ -10,8 +10,8 @@
 //! approximation ratio is `k·(Δ+1)^{1/k}·[c_max·(Δ+1)]^{1/k}`.
 //!
 //! The paper only sketches this variant ("change lines 6 and 10 in the
-//! appropriate way"); the interpretation implemented here is spelled out in
-//! DESIGN.md and validated empirically against the stated ratio in
+//! appropriate way"); the interpretation implemented here is the one
+//! described above, validated empirically against the stated ratio in
 //! experiment T6.
 
 use kw_graph::{CsrGraph, FractionalAssignment, VertexWeights, COVERAGE_TOLERANCE};

@@ -5,10 +5,12 @@
 //! died with the process. This crate is the layer that makes results
 //! *stream* and *persist* (ROADMAP item (c)):
 //!
-//! * **Events** — [`ExperimentRunner::run_matrix_streaming`] emits a
-//!   [`RunEvent`] per `(solver, workload, seed)` cell over a bounded
-//!   MPSC channel; [`pipeline::stream_sweep`] pairs it with a consumer
-//!   thread so one caller can run and observe simultaneously.
+//! * **Events** — [`ExperimentRunner::run_matrix`], given an event
+//!   sender, emits a [`RunEvent`] per `(solver, workload, seed)` cell
+//!   over a bounded MPSC channel; [`pipeline::stream_sweep`] pairs it
+//!   with a consumer thread so one caller can run and observe
+//!   simultaneously. Either way the sweep returns one [`RunRecord`] per
+//!   run.
 //! * **Store** — [`store::RunStore`] is an append-only JSONL file with a
 //!   versioned schema ([`store::SCHEMA_VERSION`]) holding sweep
 //!   manifests (solver specs, workloads, seeds, fault plan, git
@@ -16,9 +18,11 @@
 //!   Appends are crash-safe (one flushed write per line; torn tails are
 //!   repaired on open) and stores replay into an [`ExperimentCache`], so
 //!   a killed sweep resumes by solving only its missing cells.
-//! * **Summaries** — [`summary::Summary`] rolls records up per cell and
-//!   per solver with mean/p50/p95 (quality stats exclude non-dominating
-//!   runs), rendering to markdown or CSV.
+//! * **Summaries** — [`summary::Summary`], the one rollup of run
+//!   records, aggregates them per `(workload, chaos, solver, threads)`
+//!   cell and per solver with [`summary::Percentiles`] (mean/p50/p95/p99;
+//!   quality stats exclude non-dominating runs), rendering to markdown
+//!   or CSV.
 //! * **Regression gating** — [`regress::compare`] diffs a fresh summary
 //!   against a stored baseline and flags quality growth, new failures,
 //!   and ≥20% time regressions; `regress::compare_benches` does the same
@@ -33,10 +37,11 @@
 //!   threads via [`summary::TraceRollup`] (phase shares, barrier cost,
 //!   worker imbalance).
 //!
-//! [`ExperimentRunner::run_matrix_streaming`]:
-//!     kw_core::solver::ExperimentRunner::run_matrix_streaming
+//! [`ExperimentRunner::run_matrix`]:
+//!     kw_core::solver::ExperimentRunner::run_matrix
 //! [`ExperimentCache`]: kw_core::solver::ExperimentCache
 //! [`RunEvent`]: kw_core::solver::RunEvent
+//! [`RunRecord`]: kw_core::solver::RunRecord
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,7 +18,7 @@ use std::sync::mpsc::sync_channel;
 use kw_graph::CsrGraph;
 
 use kw_core::solver::{
-    CellSummary, DsSolver, ExperimentCache, ExperimentRunner, RunEvent, RunRecord, SolveError,
+    DsSolver, ExperimentCache, ExperimentRunner, RunEvent, RunRecord, SolveError,
 };
 
 use crate::store::{git_describe, RunManifest, RunStore, StoreError};
@@ -95,9 +95,9 @@ impl From<StoreError> for PipelineError {
 /// What a [`SweepSession::run`] call produced.
 #[derive(Debug)]
 pub struct SweepOutcome {
-    /// Aggregated cells, solver-major (the batch API's shape).
-    pub cells: Vec<CellSummary>,
-    /// Every run record of this sweep (fresh and cached), as streamed.
+    /// Every run record of this sweep (fresh and cached), in the
+    /// runner's order: solver-major, then workload, then seed. Roll them
+    /// up with [`Summary::from_records`](crate::Summary::from_records).
     pub records: Vec<RunRecord>,
     /// Cells solved fresh this sweep.
     pub solved: u64,
@@ -115,7 +115,7 @@ pub struct SweepOutcome {
 
 /// Runs a streaming sweep, draining events on a consumer thread and
 /// handing each to `on_event` (in channel order). Returns the same
-/// summaries as [`ExperimentRunner::run_matrix`].
+/// records as [`ExperimentRunner::run_matrix`].
 ///
 /// The channel is bounded at [`EVENT_CHANNEL_BOUND`]; a slow `on_event`
 /// slows the sweep rather than ballooning memory.
@@ -125,7 +125,7 @@ pub fn stream_sweep<S: DsSolver>(
     workloads: &[(String, CsrGraph)],
     seeds: impl IntoIterator<Item = u64>,
     on_event: impl FnMut(&RunEvent) + Send,
-) -> Result<Vec<CellSummary>, SolveError> {
+) -> Result<Vec<RunRecord>, SolveError> {
     let seeds: Vec<u64> = seeds.into_iter().collect();
     let (tx, rx) = sync_channel::<RunEvent>(EVENT_CHANNEL_BOUND);
     std::thread::scope(|scope| {
@@ -137,7 +137,7 @@ pub fn stream_sweep<S: DsSolver>(
         });
         // The runner drops its sender clones when the sweep ends, which
         // closes the channel and lets the consumer drain out.
-        let result = runner.run_matrix_streaming(solvers, workloads, seeds, tx);
+        let result = runner.run_matrix(solvers, workloads, seeds, Some(tx));
         consumer.join().expect("event consumer panicked");
         result
     })
@@ -165,7 +165,7 @@ pub fn stream_sweep<S: DsSolver>(
 /// )?;
 /// // Re-running after a crash (or in a later process) solves nothing:
 /// // the store replays into the cache first.
-/// assert_eq!(out.cells.len(), 1);
+/// assert_eq!(out.records.len(), 10);
 /// # Ok::<(), kw_results::pipeline::PipelineError>(())
 /// ```
 #[derive(Debug)]
@@ -271,18 +271,15 @@ impl SweepSession {
         })?;
         let runner = runner.clone().cache(self.cache.clone());
         let store = &self.store;
-        let mut records = Vec::new();
         let mut totals = (0u64, 0u64, 0u64);
         let mut write_err: Option<StoreError> = None;
-        let cells = stream_sweep(&runner, solvers, workloads, seeds, |ev| {
+        let records = stream_sweep(&runner, solvers, workloads, seeds, |ev| {
             match ev {
                 RunEvent::CellFinished { record, .. } => {
                     if let Err(e) = store.append_record(record) {
                         write_err.get_or_insert(e);
                     }
-                    records.push(record.clone());
                 }
-                RunEvent::CellCached { record, .. } => records.push(record.clone()),
                 RunEvent::SweepFinished {
                     solved,
                     cached,
@@ -293,7 +290,6 @@ impl SweepSession {
             progress(ev);
         })?;
         Ok(SweepOutcome {
-            cells,
             records,
             solved: totals.0,
             cached: totals.1,
@@ -314,17 +310,22 @@ mod tests {
         let registry = SolverRegistry::with_core_solvers();
         let solvers = registry.build_all(["kw:k=2"]).unwrap();
         let workloads = vec![("grid4".to_string(), generators::grid(4, 4))];
-        let runner = ExperimentRunner::new().workers(2);
-        let mut terminal = 0usize;
-        let cells = stream_sweep(&runner, &solvers, &workloads, 0..5, |ev| {
-            if ev.is_terminal() {
-                terminal += 1;
+        let runner = ExperimentRunner::new()
+            .workers(2)
+            .cache(ExperimentCache::new());
+        let mut streamed = Vec::new();
+        let records = stream_sweep(&runner, &solvers, &workloads, 0..5, |ev| {
+            if let RunEvent::CellFinished { record, .. } = ev {
+                streamed.push(record.clone());
             }
         })
         .unwrap();
-        assert_eq!(terminal, 5);
-        let batch = runner.run_matrix(&solvers, &workloads, 0..5).unwrap();
-        assert_eq!(cells[0].size, batch[0].size);
-        assert_eq!(cells[0].messages, batch[0].messages);
+        // The returned records are the streamed ones, in seed order.
+        assert_eq!(streamed.len(), 5);
+        streamed.sort_by_key(|r| r.seed);
+        assert_eq!(records, streamed);
+        // A silent sweep over the warm cache replays the very same records.
+        let batch = runner.run_matrix(&solvers, &workloads, 0..5, None).unwrap();
+        assert_eq!(batch, records);
     }
 }

@@ -218,21 +218,23 @@ impl fmt::Display for Regression {
 }
 
 /// Diffs `fresh` against `baseline` cell by cell, matching on
-/// `(solver, workload, chaos)` — a chaotic cell is only ever compared
-/// against the same chaos plan, never against the clean baseline of the
-/// same workload. Cells only in `fresh` are ignored (new coverage is not
-/// a regression); cells only in `baseline` are reported as
-/// [`Regression::MissingCell`]. In findings, a non-reliable chaos spec
-/// is folded into the workload display as `workload (chaos:spec)`.
+/// `(solver, workload, chaos, threads)` — a chaotic cell is only ever
+/// compared against the same chaos plan, and a 2-thread cell only
+/// against a 2-thread baseline. Cells only in `fresh` are ignored (new
+/// coverage is not a regression); cells only in `baseline` are reported
+/// as [`Regression::MissingCell`]. In findings, a thread count other
+/// than 1 shows as `workload@Nt` and a non-reliable chaos spec as
+/// `workload (chaos:spec)`.
 pub fn compare(baseline: &Summary, fresh: &Summary, policy: &RegressPolicy) -> Vec<Regression> {
     let mut findings = Vec::new();
     for base in &baseline.cells {
         let workload = if base.chaos.is_empty() {
-            base.workload.clone()
+            base.workload_label()
         } else {
-            format!("{} (chaos:{})", base.workload, base.chaos)
+            format!("{} (chaos:{})", base.workload_label(), base.chaos)
         };
-        let Some(new) = fresh.cell_under(&base.solver, &base.workload, &base.chaos) else {
+        let Some(new) = fresh.cell_under(&base.solver, &base.workload, &base.chaos, base.threads)
+        else {
             findings.push(Regression::MissingCell {
                 solver: base.solver.clone(),
                 workload,
@@ -550,6 +552,30 @@ mod tests {
         assert!(matches!(
             &findings[0],
             Regression::MissingCell { workload, .. } if workload == "grid (chaos:drop=0.2,seed=7)"
+        ));
+    }
+
+    /// A 2-thread cell gates against a 2-thread baseline only. A fresh
+    /// store adding a slower 2-thread run of a 1-thread baseline cell is
+    /// new coverage, not a 1-thread time regression.
+    #[test]
+    fn thread_counts_gate_independently() {
+        let at = |threads: usize, wall_ms: f64| {
+            let mut r = record("kw:k=2", "grid", 0, 10.0, wall_ms);
+            r.threads = threads;
+            r
+        };
+        let base = Summary::from_records(&[at(1, 2.0)]);
+        let fresh = Summary::from_records(&[at(1, 2.0), at(2, 9.0)]);
+        assert!(compare(&base, &fresh, &RegressPolicy::default()).is_empty());
+        // The 2-thread cell gates against its own baseline, under its
+        // thread label.
+        let base = Summary::from_records(&[at(1, 2.0), at(2, 2.0)]);
+        let findings = compare(&base, &fresh, &RegressPolicy::default());
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(matches!(
+            &findings[0],
+            Regression::Time { workload, .. } if workload == "grid@2t"
         ));
     }
 

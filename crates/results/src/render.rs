@@ -1,9 +1,7 @@
 //! Fixed-width table rendering for experiment outputs.
 //!
-//! Moved here from `kw_bench::table` when the results pipeline landed,
-//! so every consumer of run data (experiment binaries, the `regress`
-//! tool, summaries) shares one renderer; `kw_bench::table` re-exports
-//! [`Table`] for the remaining classic drivers.
+//! Every consumer of run data (experiment binaries, the `regress` tool,
+//! summaries) shares this one renderer.
 
 /// A simple right-aligned table that renders to aligned text or CSV.
 #[derive(Clone, Debug)]

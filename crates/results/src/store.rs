@@ -647,7 +647,10 @@ fn parse_line(line_no: usize, line: &str) -> Result<Line, StoreError> {
         if !(0.0..=1.0).contains(&drop) {
             return Err(corrupt(format!("fault_drop {drop} outside [0, 1]")));
         }
-        Ok(ChaosPlan::from(kw_sim::FaultPlan::drop_with_probability(drop, seed)).spec())
+        Ok(ChaosPlan::reliable()
+            .with_drop(drop)
+            .with_fault_seed(seed)
+            .spec())
     };
     match kind {
         "manifest" => {

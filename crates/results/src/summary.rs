@@ -1,17 +1,17 @@
 //! Rollups of run records: per-cell and per-solver statistics with
 //! mean/p50/p95, rendered to markdown or CSV.
 //!
-//! A [`Summary`] is built from [`RunRecord`]s — live ones collected from
-//! a streaming sweep or persisted ones loaded from a [`RunStore`] — and
-//! aggregates each `(solver, workload)` cell over its seeds, plus each
-//! solver over all its cells. Quality statistics (size, rounds,
-//! messages, bits, ratio-vs-Lemma-1) exclude non-dominating runs, which
-//! are counted as `failures` instead — the same convention
-//! [`CellSummary`] uses; wall-time statistics include every run (cost is
-//! cost, dominated or not).
+//! A [`Summary`] is built from [`RunRecord`]s — the records a sweep
+//! returns or persisted ones loaded from a [`RunStore`] — and aggregates
+//! each `(workload, chaos, solver, threads)` cell over its seeds, plus
+//! each solver over all its cells. This is the workspace's one rollup,
+//! and [`Percentiles`] (ranked by [`nearest_rank`]) its one statistic.
+//! Quality statistics (size, rounds, messages, bits, ratio-vs-Lemma-1)
+//! exclude non-dominating runs, which are counted as `failures` instead;
+//! wall-time statistics include every run (cost is cost, dominated or
+//! not).
 //!
 //! [`RunStore`]: crate::store::RunStore
-//! [`CellSummary`]: kw_core::solver::CellSummary
 
 use std::fmt::Write as _;
 
@@ -44,7 +44,8 @@ pub fn nearest_rank(percent: usize, n: usize) -> usize {
 pub struct Percentiles {
     /// Number of samples.
     pub count: usize,
-    /// Arithmetic mean (0 when empty).
+    /// Arithmetic mean (0 when empty), summed in input order — feed
+    /// samples in seed order and the mean is reproducible bit for bit.
     pub mean: f64,
     /// Median (0 when empty).
     pub p50: f64,
@@ -69,7 +70,7 @@ impl Percentiles {
         let rank = |percent: usize| -> f64 { sorted[nearest_rank(percent, sorted.len()) - 1] };
         Percentiles {
             count: sorted.len(),
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
+            mean: samples.iter().sum::<f64>() / samples.len() as f64,
             p50: rank(50),
             p95: rank(95),
             p99: rank(99),
@@ -79,7 +80,7 @@ impl Percentiles {
     }
 }
 
-/// One `(solver, workload)` cell aggregated over seeds.
+/// One `(solver, workload, chaos, threads)` cell aggregated over seeds.
 #[derive(Clone, Debug)]
 pub struct CellRollup {
     /// Canonical solver spec.
@@ -90,6 +91,10 @@ pub struct CellRollup {
     /// of the cell key: the same `(solver, workload)` under different
     /// chaos plans rolls up as separate cells.
     pub chaos: String,
+    /// Engine worker threads the runs used. Part of the cell key:
+    /// outcomes are thread-invariant but `wall_ms` is not, so runs at
+    /// different thread counts roll up (and gate) as separate cells.
+    pub threads: usize,
     /// Node count of the workload graph.
     pub n: usize,
     /// Maximum degree `Δ` of the workload graph.
@@ -110,6 +115,19 @@ pub struct CellRollup {
     pub ratio_vs_lemma1: Percentiles,
     /// Wall-clock solve time, ms (includes failed runs).
     pub wall_ms: Percentiles,
+}
+
+impl CellRollup {
+    /// The workload as tables show it: `workload@Nt` when the cell ran
+    /// at `N ≠ 1` engine threads, so 1-thread tables read as they always
+    /// have.
+    pub(crate) fn workload_label(&self) -> String {
+        if self.threads == 1 {
+            self.workload.clone()
+        } else {
+            format!("{}@{}t", self.workload, self.threads)
+        }
+    }
 }
 
 /// One solver aggregated over every workload and seed it ran.
@@ -135,8 +153,8 @@ pub struct SolverRollup {
 /// Per-cell and per-solver rollups of a set of run records.
 #[derive(Clone, Debug, Default)]
 pub struct Summary {
-    /// Cells, sorted by `(workload, chaos, solver)` (the classic table
-    /// order, with chaos variants of a workload grouped together).
+    /// Cells, sorted by `(workload, chaos, solver, threads)` (the classic
+    /// table order, with chaos variants of a workload grouped together).
     pub cells: Vec<CellRollup>,
     /// Solvers, sorted by spec.
     pub solvers: Vec<SolverRollup>,
@@ -176,23 +194,29 @@ impl Summary {
                 self.ratio.push(r.outcome.ratio_vs_lemma1);
             }
         }
-        let mut cells: std::collections::BTreeMap<(String, String, String), Acc> =
+        let mut cells: std::collections::BTreeMap<(String, String, String, usize), Acc> =
             Default::default();
         let mut solvers: std::collections::BTreeMap<String, Acc> = Default::default();
         // Seeds sort runs deterministically inside each accumulator, so
         // percentile input order never depends on worker scheduling.
         let mut sorted: Vec<&RunRecord> = records.iter().collect();
         sorted.sort_by(|a, b| {
-            (&a.solver, &a.workload, &a.chaos, a.seed).cmp(&(
+            (&a.solver, &a.workload, &a.chaos, a.threads, a.seed).cmp(&(
                 &b.solver,
                 &b.workload,
                 &b.chaos,
+                b.threads,
                 b.seed,
             ))
         });
         for r in sorted {
             cells
-                .entry((r.workload.clone(), r.chaos.clone(), r.solver.clone()))
+                .entry((
+                    r.workload.clone(),
+                    r.chaos.clone(),
+                    r.solver.clone(),
+                    r.threads,
+                ))
                 .or_default()
                 .push(r);
             solvers.entry(r.solver.clone()).or_default().push(r);
@@ -200,10 +224,11 @@ impl Summary {
         Summary {
             cells: cells
                 .into_iter()
-                .map(|((workload, chaos, solver), acc)| CellRollup {
+                .map(|((workload, chaos, solver, threads), acc)| CellRollup {
                     solver,
                     workload,
                     chaos,
+                    threads,
                     n: acc.n,
                     max_degree: acc.max_degree,
                     runs: acc.runs,
@@ -232,7 +257,8 @@ impl Summary {
     }
 
     /// Looks one cell up by solver and workload (first match across
-    /// chaos variants; summaries of reliable sweeps have exactly one).
+    /// chaos variants and thread counts; summaries of reliable 1-thread
+    /// sweeps have exactly one).
     pub fn cell(&self, solver: &str, workload: &str) -> Option<&CellRollup> {
         self.cells
             .iter()
@@ -240,11 +266,17 @@ impl Summary {
     }
 
     /// Looks one cell up under a specific canonical chaos spec (`""` =
-    /// reliable).
-    pub fn cell_under(&self, solver: &str, workload: &str, chaos: &str) -> Option<&CellRollup> {
-        self.cells
-            .iter()
-            .find(|c| c.solver == solver && c.workload == workload && c.chaos == chaos)
+    /// reliable) and engine thread count.
+    pub fn cell_under(
+        &self,
+        solver: &str,
+        workload: &str,
+        chaos: &str,
+        threads: usize,
+    ) -> Option<&CellRollup> {
+        self.cells.iter().find(|c| {
+            c.solver == solver && c.workload == workload && c.chaos == chaos && c.threads == threads
+        })
     }
 
     /// Renders the per-cell table as GitHub-flavored markdown.
@@ -258,7 +290,7 @@ impl Summary {
             let _ = writeln!(
                 out,
                 "| {} | {} | {} | {} | {} | {} | {} | {:.1} | {:.0} | {:.0} | {:.0} | {:.2} | {:.0} | {:.0} | {:.2} |",
-                c.workload,
+                c.workload_label(),
                 c.n,
                 c.max_degree,
                 c.solver,
@@ -302,7 +334,7 @@ impl Summary {
         ]);
         for c in &self.cells {
             t.row([
-                c.workload.clone(),
+                c.workload_label(),
                 c.n.to_string(),
                 c.max_degree.to_string(),
                 c.solver.clone(),
@@ -625,10 +657,12 @@ mod tests {
         noisy2.chaos = "drop=0.2,seed=7".into();
         let s = Summary::from_records(&[clean, noisy, noisy2]);
         assert_eq!(s.cells.len(), 2);
-        let base = s.cell_under("kw:k=2", "grid", "").unwrap();
+        let base = s.cell_under("kw:k=2", "grid", "", 1).unwrap();
         assert_eq!((base.runs, base.failures), (1, 0));
         assert_eq!(base.size.mean, 10.0);
-        let chaotic = s.cell_under("kw:k=2", "grid", "drop=0.2,seed=7").unwrap();
+        let chaotic = s
+            .cell_under("kw:k=2", "grid", "drop=0.2,seed=7", 1)
+            .unwrap();
         assert_eq!((chaotic.runs, chaotic.failures), (2, 1));
         assert_eq!(chaotic.size.mean, 14.0, "failed run excluded");
         // The chaos spec shows up in both rendered tables.
@@ -636,6 +670,44 @@ mod tests {
         assert!(s.to_csv().contains(",drop=0.2,seed=7,"));
         // The chaos-blind lookup still finds the first variant.
         assert!(s.cell("kw:k=2", "grid").is_some());
+    }
+
+    /// Runs of one cell at different engine thread counts must roll up
+    /// as separate cells: merged, `runs` doubles and `wall_ms` averages
+    /// a 1-thread measurement into a 2-thread one.
+    #[test]
+    fn thread_counts_are_distinct_cells() {
+        let one = record("kw:k=2", "grid", 0, 10.0, true);
+        let mut two = record("kw:k=2", "grid", 0, 10.0, true);
+        two.threads = 2;
+        two.outcome.wall_ms = 40.0;
+        let s = Summary::from_records(&[two, one]);
+        assert_eq!(s.cells.len(), 2);
+        let base = s.cell_under("kw:k=2", "grid", "", 1).unwrap();
+        assert_eq!((base.runs, base.wall_ms.mean), (1, 5.0));
+        let pooled = s.cell_under("kw:k=2", "grid", "", 2).unwrap();
+        assert_eq!((pooled.runs, pooled.wall_ms.mean), (1, 40.0));
+        // 1-thread cells render as before; others name their threads.
+        let md = s.to_markdown();
+        assert!(md.contains("\n| grid | 100 | 9 | kw:k=2 | - | 1 |"), "{md}");
+        assert!(
+            md.contains("\n| grid@2t | 100 | 9 | kw:k=2 | - | 1 |"),
+            "{md}"
+        );
+        assert!(s.to_csv().contains("\ngrid@2t,100,9,kw:k=2,"));
+    }
+
+    /// The mean sums in input order (the order `Summary` feeds, i.e.
+    /// seed order), not in sorted order; the two sums differ for these
+    /// samples.
+    #[test]
+    fn percentile_mean_sums_in_input_order() {
+        let samples = [0.1, 1e16, -1e16, 0.2];
+        let in_order = samples.iter().sum::<f64>() / 4.0;
+        let mut sorted = samples;
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_ne!(in_order, sorted.iter().sum::<f64>() / 4.0);
+        assert_eq!(Percentiles::from_samples(&samples).mean, in_order);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! crash/recover schedules, byzantine senders, and inter-round churn —
 //! all deterministic in one fault seed.
 //!
-//! [`ChaosPlan`] generalizes [`FaultPlan`] (which stays as the iid-drop
-//! component). A plan is described by — and round-trips through — a
-//! canonical spec string, the **chaos clause** of the workload grammar:
+//! [`ChaosPlan`] is the workspace's one fault model. A plan is described
+//! by — and round-trips through — a canonical spec string, the **chaos
+//! clause** of the workload grammar:
 //!
 //! ```text
 //! drop=0.1,seed=7,burst=r3-5@0.9/0.5,crash=7@r2-4,byz=3+9,churn=r2re0-1+r4j6
@@ -49,7 +49,6 @@ use std::fmt;
 
 use kw_graph::{apply_churn, ChurnEvent, ChurnKind, CsrGraph};
 
-use crate::faults::FaultPlan;
 use crate::rng::split_mix64;
 
 /// Domain salt for burst region membership keys.
@@ -59,8 +58,7 @@ const BURST_SALT: u64 = 0x4255_5253_545f_4452;
 /// Domain salt for byzantine corruption keys.
 const BYZ_SALT: u64 = 0x4259_5a41_4e54_494e;
 
-/// Maps a hashed key to a unit interval sample in `[0, 1)` (top 53 bits,
-/// same mapping as [`FaultPlan`]).
+/// Maps a hashed key to a unit interval sample in `[0, 1)` (top 53 bits).
 #[inline]
 fn unit(key: u64) -> f64 {
     (key >> 11) as f64 / (1u64 << 53) as f64
@@ -159,21 +157,15 @@ impl std::error::Error for ChaosParseError {}
 /// `parse(spec())` is the identity.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct ChaosPlan {
-    /// The iid drop component (also carries the fault seed).
-    iid: FaultPlan,
+    /// Probability that any individual delivered message copy is lost,
+    /// independently of every other delivery.
+    drop: f64,
+    /// The fault seed (independent of protocol randomness).
+    seed: u64,
     bursts: Vec<Burst>,
     crashes: Vec<CrashWindow>,
     byzantine: Vec<u32>,
     churn: Vec<ChurnEvent>,
-}
-
-impl From<FaultPlan> for ChaosPlan {
-    fn from(iid: FaultPlan) -> Self {
-        ChaosPlan {
-            iid,
-            ..Self::default()
-        }
-    }
 }
 
 impl ChaosPlan {
@@ -182,15 +174,26 @@ impl ChaosPlan {
         Self::default()
     }
 
-    /// Replaces the iid-drop component (probability and fault seed).
-    pub fn with_iid(mut self, iid: FaultPlan) -> Self {
-        self.iid = iid;
+    /// Sets the iid drop probability: each delivered message copy is
+    /// lost independently with probability `p`. The full closed range
+    /// `[0, 1]` is accepted: 1.0 is a total blackout, a legitimate
+    /// worst-case plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `[0, 1]` (including NaN).
+    pub fn with_drop(mut self, p: f64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "drop probability {p} outside [0, 1]"
+        );
+        self.drop = p;
         self
     }
 
     /// Replaces the fault seed, keeping the iid drop probability.
     pub fn with_fault_seed(mut self, seed: u64) -> Self {
-        self.iid = FaultPlan::drop_with_probability(self.iid.drop_probability(), seed);
+        self.seed = seed;
         self
     }
 
@@ -261,12 +264,12 @@ impl ChaosPlan {
 
     /// The iid drop probability (0.0 when the iid component is off).
     pub fn drop_probability(&self) -> f64 {
-        self.iid.drop_probability()
+        self.drop
     }
 
     /// The fault seed every chaotic choice derives from.
     pub fn seed(&self) -> u64 {
-        self.iid.seed()
+        self.seed
     }
 
     /// The correlated bursts, canonically ordered.
@@ -292,7 +295,7 @@ impl ChaosPlan {
     /// Whether the plan is completely quiet — no drops, bursts, crashes,
     /// byzantine senders, or churn.
     pub fn is_reliable(&self) -> bool {
-        self.iid.is_reliable()
+        self.drop == 0.0
             && self.bursts.is_empty()
             && self.crashes.is_empty()
             && self.byzantine.is_empty()
@@ -305,7 +308,7 @@ impl ChaosPlan {
     /// message staged for a live receiver arrives. This is the condition
     /// that lets the engine take its solo-broadcast fast path.
     pub fn lossless(&self) -> bool {
-        self.iid.is_reliable() && self.bursts.is_empty()
+        self.drop == 0.0 && self.bursts.is_empty()
     }
 
     /// Whether any node can ever be down (crash windows or node churn).
@@ -333,13 +336,23 @@ impl ChaosPlan {
         self.byzantine.binary_search(&node).is_ok()
     }
 
-    /// Decides the fate of one delivery (cf. [`FaultPlan::drops`]): iid
-    /// loss, then each burst whose window covers `round` and whose region
-    /// contains `receiver`. Deterministic and order-independent.
+    /// Decides the fate of one delivery, identified by `(round, sender,
+    /// receiver, slot)` where `slot` is the message's index in the
+    /// sender's outbox that round: iid loss, then each burst whose window
+    /// covers `round` and whose region contains `receiver`. Deterministic
+    /// in the fault seed and independent of evaluation order, so results
+    /// do not depend on thread count.
     #[inline]
     pub fn drops(&self, round: usize, sender: u32, receiver: u32, slot: u32) -> bool {
-        if self.iid.drops(round, sender, receiver, slot) {
-            return true;
+        if self.drop > 0.0 {
+            let key = split_mix64(
+                self.seed
+                    ^ split_mix64((round as u64) << 32 | u64::from(slot))
+                    ^ split_mix64(u64::from(sender) << 32 | u64::from(receiver)),
+            );
+            if unit(key) < self.drop {
+                return true;
+            }
         }
         for (idx, b) in self.bursts.iter().enumerate() {
             if round < b.from_round || round > b.to_round {
@@ -483,11 +496,11 @@ impl ChaosPlan {
     /// `parse(spec())` reproduces the plan exactly.
     pub fn spec(&self) -> String {
         let mut parts: Vec<String> = Vec::new();
-        if self.iid.drop_probability() > 0.0 {
-            parts.push(format!("drop={}", self.iid.drop_probability()));
+        if self.drop > 0.0 {
+            parts.push(format!("drop={}", self.drop));
         }
-        if self.iid.seed() != 0 {
-            parts.push(format!("seed={}", self.iid.seed()));
+        if self.seed != 0 {
+            parts.push(format!("seed={}", self.seed));
         }
         for b in &self.bursts {
             let mut s = format!(
@@ -532,8 +545,6 @@ impl ChaosPlan {
         if body.is_empty() {
             return Ok(plan);
         }
-        let mut drop = 0.0f64;
-        let mut seed = 0u64;
         for part in body.split(',') {
             let part = part.trim();
             let (key, value) = part
@@ -541,7 +552,7 @@ impl ChaosPlan {
                 .ok_or_else(|| err(format!("clause {part:?} is not key=value")))?;
             match key {
                 "drop" => {
-                    drop = value
+                    plan.drop = value
                         .parse::<f64>()
                         .ok()
                         .filter(|p| (0.0..=1.0).contains(p))
@@ -550,7 +561,7 @@ impl ChaosPlan {
                         })?;
                 }
                 "seed" => {
-                    seed = value
+                    plan.seed = value
                         .parse::<u64>()
                         .map_err(|_| err(format!("seed {value:?} is not a u64")))?;
                 }
@@ -580,7 +591,6 @@ impl ChaosPlan {
                 _ => return Err(err(format!("unknown chaos key {key:?}"))),
             }
         }
-        plan.iid = FaultPlan::drop_with_probability(drop, seed);
         plan.canonicalize();
         Ok(plan)
     }
@@ -762,6 +772,7 @@ mod tests {
             "nonsense",
             "drop=2.0",
             "drop=NaN",
+            "drop=-0.1",
             "seed=-1",
             "burst=3-5@0.9",
             "burst=r5-3@0.9",
@@ -895,12 +906,54 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_upgrade_preserves_fields() {
-        let p: ChaosPlan = FaultPlan::drop_with_probability(0.25, 99).into();
+    fn drop_builder_matches_parsed_plan() {
+        let p = ChaosPlan::reliable().with_drop(0.25).with_fault_seed(99);
         assert_eq!(p.drop_probability(), 0.25);
         assert_eq!(p.seed(), 99);
         assert_eq!(p.spec(), "drop=0.25,seed=99");
         assert_eq!(ChaosPlan::parse("drop=0.25,seed=99").unwrap(), p);
+        // Reseeding keeps the drop probability.
+        assert_eq!(p.clone().with_fault_seed(3).drop_probability(), 0.25);
+    }
+
+    #[test]
+    fn iid_drop_rate_close_to_nominal() {
+        let p = ChaosPlan::reliable().with_drop(0.3).with_fault_seed(42);
+        let trials = 100_000;
+        let dropped = (0..trials)
+            .filter(|&i| p.drops(i % 97, (i % 13) as u32, (i % 31) as u32, (i / 97) as u32))
+            .count();
+        let rate = dropped as f64 / trials as f64;
+        assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
+    }
+
+    #[test]
+    fn iid_fates_are_deterministic_and_seed_sensitive() {
+        let a = ChaosPlan::reliable().with_drop(0.5).with_fault_seed(1);
+        let b = ChaosPlan::reliable().with_drop(0.5).with_fault_seed(2);
+        let fate_a: Vec<bool> = (0..64).map(|i| a.drops(i, 1, 2, 0)).collect();
+        let fate_a2: Vec<bool> = (0..64).map(|i| a.drops(i, 1, 2, 0)).collect();
+        let fate_b: Vec<bool> = (0..64).map(|i| b.drops(i, 1, 2, 0)).collect();
+        assert_eq!(fate_a, fate_a2);
+        assert_ne!(fate_a, fate_b);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn with_drop_rejects_probability_above_one() {
+        let _ = ChaosPlan::reliable().with_drop(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn with_drop_rejects_nan() {
+        let _ = ChaosPlan::reliable().with_drop(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn with_drop_rejects_negative_probability() {
+        let _ = ChaosPlan::reliable().with_drop(-0.1);
     }
 
     #[test]
@@ -927,9 +980,12 @@ mod tests {
 
     #[test]
     fn total_blackout_chaos_plan_is_legal() {
+        // `unit` is in [0, 1), so `unit < 1.0` drops every delivery.
         let p = ChaosPlan::parse("drop=1,seed=1").unwrap();
-        for i in 0..100u32 {
-            assert!(p.drops(0, i, i + 1, 0));
+        assert_eq!(ChaosPlan::reliable().with_drop(1.0).with_fault_seed(1), p);
+        assert!(!p.is_reliable());
+        for i in 0..1000u32 {
+            assert!(p.drops((i % 17) as usize, i % 5, i % 11, i));
         }
     }
 }

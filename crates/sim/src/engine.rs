@@ -131,10 +131,7 @@ pub struct EngineConfig {
     /// (cheap safety net; enabled by default in tests, not benches).
     pub check_wire: bool,
     /// Chaos model — iid drops, bursts, crashes, byzantine senders, and
-    /// churn (defaults to fully reliable). A plain [`FaultPlan`] converts
-    /// via `.into()`.
-    ///
-    /// [`FaultPlan`]: crate::FaultPlan
+    /// churn (defaults to fully reliable).
     pub faults: ChaosPlan,
 }
 
@@ -1847,13 +1844,12 @@ mod tests {
 
     #[test]
     fn fault_plan_drops_deliveries_but_not_accounting() {
-        use crate::faults::FaultPlan;
         // Star, one broadcast round from every node; with heavy loss the
         // center receives fewer than its 4 messages, but sender-side
         // metrics still count every copy.
         let g = generators::star(5);
         let lossy = EngineConfig {
-            faults: FaultPlan::drop_with_probability(0.8, 7).into(),
+            faults: ChaosPlan::reliable().with_drop(0.8).with_fault_seed(7),
             ..Default::default()
         };
         let lossless = flood_report(&g, 1, EngineConfig::default());
@@ -1868,11 +1864,10 @@ mod tests {
 
     #[test]
     fn fault_determinism_across_thread_counts() {
-        use crate::faults::FaultPlan;
         let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(5);
         let g = generators::gnp(150, 0.05, &mut rng);
         let base = EngineConfig {
-            faults: FaultPlan::drop_with_probability(0.3, 11).into(),
+            faults: ChaosPlan::reliable().with_drop(0.3).with_fault_seed(11),
             ..Default::default()
         };
         let seq = flood_report(

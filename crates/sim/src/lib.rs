@@ -107,7 +107,6 @@
 pub mod chaos;
 mod engine;
 mod error;
-pub mod faults;
 mod mailbox;
 mod metrics;
 pub mod pool;
@@ -117,7 +116,6 @@ pub mod wire;
 pub use chaos::{Burst, ChaosParseError, ChaosPlan, CrashWindow};
 pub use engine::{Engine, EngineConfig, EngineStats, NodeInfo, Observer, RunReport};
 pub use error::SimError;
-pub use faults::FaultPlan;
 pub use mailbox::{Ctx, Inbox, InboxIter, Sink};
 pub use metrics::{RoundMetrics, RunMetrics};
 

@@ -22,7 +22,7 @@
 //!
 //! Delivery-time effects — receiver halting and fault drops — are link
 //! properties, not addressing properties, and remain the engine's
-//! business (see [`FaultPlan`](crate::FaultPlan)).
+//! business (see [`ChaosPlan::drops`](crate::ChaosPlan::drops)).
 
 use rand::rngs::SmallRng;
 

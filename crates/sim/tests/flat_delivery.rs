@@ -15,7 +15,7 @@
 
 use kw_graph::{generators, CsrGraph, NodeId};
 use kw_sim::rng::split_mix64;
-use kw_sim::{Ctx, Engine, EngineConfig, FaultPlan, Protocol, RunReport, Status};
+use kw_sim::{ChaosPlan, Ctx, Engine, EngineConfig, Protocol, RunReport, Status};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -123,7 +123,7 @@ fn expected_log(
     g: &CsrGraph,
     v: usize,
     max_rounds: usize,
-    faults: FaultPlan,
+    faults: &ChaosPlan,
     flavor: Flavor,
 ) -> Vec<(usize, u32, u64)> {
     let mut log = Vec::new();
@@ -174,15 +174,20 @@ fn run_scripted(
     .expect("scripted run terminates")
 }
 
-fn assert_matches_reference(g: &CsrGraph, max_rounds: usize, faults: FaultPlan, flavor: Flavor) {
+/// A plan dropping each delivery independently with probability `p`.
+fn lossy(p: f64, seed: u64) -> ChaosPlan {
+    ChaosPlan::reliable().with_drop(p).with_fault_seed(seed)
+}
+
+fn assert_matches_reference(g: &CsrGraph, max_rounds: usize, faults: ChaosPlan, flavor: Flavor) {
     let config = EngineConfig {
-        faults: faults.into(),
+        faults: faults.clone(),
         check_wire: true,
         ..Default::default()
     };
     let report = run_scripted(g, max_rounds, config, flavor);
     for v in 0..g.len() {
-        let expected = expected_log(g, v, max_rounds, faults, flavor);
+        let expected = expected_log(g, v, max_rounds, &faults, flavor);
         assert_eq!(
             report.outputs[v], expected,
             "inbox mismatch at node {v} on {g:?} (faults: {faults:?}, flavor: {flavor:?})"
@@ -197,22 +202,22 @@ proptest! {
     fn flat_plane_matches_reference_on_gnp(seed in any::<u64>(), n in 4usize..36) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = generators::gnp(n, 0.25, &mut rng);
-        assert_matches_reference(&g, 6, FaultPlan::reliable(), Flavor::Mixed);
-        assert_matches_reference(&g, 6, FaultPlan::drop_with_probability(0.3, seed ^ 0x5ca1ab1e), Flavor::Mixed);
+        assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Mixed);
+        assert_matches_reference(&g, 6, lossy(0.3, seed ^ 0x5ca1ab1e), Flavor::Mixed);
     }
 
     #[test]
     fn flat_plane_matches_reference_on_star(n in 3usize..40, fault_seed in any::<u64>()) {
         let g = generators::star(n);
-        assert_matches_reference(&g, 5, FaultPlan::reliable(), Flavor::Mixed);
-        assert_matches_reference(&g, 5, FaultPlan::drop_with_probability(0.4, fault_seed), Flavor::Mixed);
+        assert_matches_reference(&g, 5, ChaosPlan::reliable(), Flavor::Mixed);
+        assert_matches_reference(&g, 5, lossy(0.4, fault_seed), Flavor::Mixed);
     }
 
     #[test]
     fn flat_plane_matches_reference_on_complete(n in 2usize..16, fault_seed in any::<u64>()) {
         let g = generators::complete(n);
-        assert_matches_reference(&g, 4, FaultPlan::reliable(), Flavor::Mixed);
-        assert_matches_reference(&g, 4, FaultPlan::drop_with_probability(0.2, fault_seed), Flavor::Mixed);
+        assert_matches_reference(&g, 4, ChaosPlan::reliable(), Flavor::Mixed);
+        assert_matches_reference(&g, 4, lossy(0.2, fault_seed), Flavor::Mixed);
     }
 
     /// Unicast bursts push several messages down one arc in a round; the
@@ -222,15 +227,15 @@ proptest! {
     fn arena_send_path_matches_reference_on_unicast_bursts(seed in any::<u64>(), n in 4usize..32) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = generators::gnp(n, 0.3, &mut rng);
-        assert_matches_reference(&g, 6, FaultPlan::reliable(), Flavor::Burst);
-        assert_matches_reference(&g, 6, FaultPlan::drop_with_probability(0.35, seed ^ 0xb0b), Flavor::Burst);
+        assert_matches_reference(&g, 6, ChaosPlan::reliable(), Flavor::Burst);
+        assert_matches_reference(&g, 6, lossy(0.35, seed ^ 0xb0b), Flavor::Burst);
     }
 
     #[test]
     fn arena_send_path_matches_reference_on_star_bursts(n in 3usize..36, fault_seed in any::<u64>()) {
         let g = generators::star(n);
-        assert_matches_reference(&g, 5, FaultPlan::reliable(), Flavor::Burst);
-        assert_matches_reference(&g, 5, FaultPlan::drop_with_probability(0.25, fault_seed), Flavor::Burst);
+        assert_matches_reference(&g, 5, ChaosPlan::reliable(), Flavor::Burst);
+        assert_matches_reference(&g, 5, lossy(0.25, fault_seed), Flavor::Burst);
     }
 }
 
@@ -243,7 +248,7 @@ proptest! {
 fn thread_count_determinism_high_degree_with_faults() {
     let g = generators::star_of_cliques(12, 24);
     let base = EngineConfig {
-        faults: FaultPlan::drop_with_probability(0.25, 99).into(),
+        faults: lossy(0.25, 99),
         ..Default::default()
     };
     for flavor in [Flavor::Mixed, Flavor::Burst] {

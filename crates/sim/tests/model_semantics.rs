@@ -3,7 +3,7 @@
 
 use kw_graph::{generators, CsrGraph, NodeId};
 use kw_sim::wire::{BitReader, BitWriter, WireEncode};
-use kw_sim::{Ctx, Engine, EngineConfig, FaultPlan, Protocol, Status};
+use kw_sim::{ChaosPlan, Ctx, Engine, EngineConfig, Protocol, Status};
 
 #[derive(Clone, Debug, PartialEq)]
 struct Tagged {
@@ -212,11 +212,7 @@ fn fault_plan_loss_rate_at_engine_level() {
             &g,
             EngineConfig {
                 threads,
-                faults: if drop == 0.0 {
-                    FaultPlan::reliable().into()
-                } else {
-                    FaultPlan::drop_with_probability(drop, 77).into()
-                },
+                faults: ChaosPlan::reliable().with_drop(drop).with_fault_seed(77),
                 ..Default::default()
             },
             |_| DeliveryCounter {

@@ -83,8 +83,9 @@
 //! # Experiment matrices
 //!
 //! [`ExperimentRunner`](kw_core::solver::ExperimentRunner) fans a
-//! solver × workload × seed matrix into (optionally multi-threaded) runs
-//! with aggregated statistics:
+//! solver × workload × seed matrix into (optionally multi-threaded) runs,
+//! one [`RunRecord`](kw_core::solver::RunRecord) per run, and
+//! [`Summary`](kw_results::Summary) rolls the records up per cell:
 //!
 //! ```
 //! use kw_domset::prelude::*;
@@ -93,9 +94,11 @@
 //! let registry = kw_domset::default_registry();
 //! let solvers = registry.build_all(["kw:k=2", "greedy", "trivial"])?;
 //! let workloads = vec![("grid8".to_string(), generators::grid(8, 8))];
-//! let cells = ExperimentRunner::new().run_matrix(&solvers, &workloads, 0..5)?;
-//! assert_eq!(cells.len(), 3);
-//! assert!(cells.iter().all(|c| c.failures == 0));
+//! let records = ExperimentRunner::new().run_matrix(&solvers, &workloads, 0..5, None)?;
+//! assert_eq!(records.len(), 3 * 5);
+//! let summary = Summary::from_records(&records);
+//! assert_eq!(summary.cells.len(), 3);
+//! assert!(summary.cells.iter().all(|c| c.failures == 0));
 //! # Ok::<(), kw_core::solver::SolveError>(())
 //! ```
 //!
@@ -154,9 +157,9 @@
 //! pipeline ([`kw_results`]) makes experiment output event-driven and
 //! durable:
 //!
-//! * [`ExperimentRunner::run_matrix_streaming`](kw_core::solver::ExperimentRunner::run_matrix_streaming)
-//!   reports every `(solver, workload, seed)` cell over a bounded
-//!   channel as it finishes ([`RunEvent`](kw_core::solver::RunEvent)s),
+//! * [`ExperimentRunner::run_matrix`](kw_core::solver::ExperimentRunner::run_matrix),
+//!   given an event sender, reports every `(solver, workload, seed)`
+//!   cell over a bounded channel as it finishes ([`RunEvent`](kw_core::solver::RunEvent)s),
 //!   instead of staying silent until the final barrier;
 //! * [`SweepSession`](kw_results::pipeline::SweepSession) persists each
 //!   solved cell to an append-only JSONL
@@ -277,8 +280,10 @@
 //! ```
 //!
 //! * `drop=<p>` — iid per-delivery loss with probability `p ∈ [0, 1]`
-//!   (`seed=<s>` keys all chaotic randomness; the legacy
-//!   [`FaultPlan`](kw_sim::FaultPlan) converts via `.into()`).
+//!   (`seed=<s>` keys all chaotic randomness; in code,
+//!   [`ChaosPlan::with_drop`](kw_sim::ChaosPlan::with_drop) and
+//!   [`with_fault_seed`](kw_sim::ChaosPlan::with_fault_seed) build the
+//!   same plan).
 //! * `burst=r<a>-<b>@<p>[/<f>]` — correlated loss storm: during rounds
 //!   `a..=b`, deliveries drop with probability `p`, optionally scoped
 //!   to a seeded region holding fraction `f` of the nodes.

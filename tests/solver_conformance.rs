@@ -188,23 +188,31 @@ fn experiment_runner_matches_individual_solves() {
     let solvers = registry.build_all(["kw:k=2", "greedy"]).unwrap();
     let workloads = vec![("grid5x5".to_string(), generators::grid(5, 5))];
     let seeds: Vec<u64> = (0..4).collect();
-    let cells = ExperimentRunner::new()
-        .run_matrix(&solvers, &workloads, seeds.iter().copied())
+    let records = ExperimentRunner::new()
+        .run_matrix(&solvers, &workloads, seeds.iter().copied(), None)
         .unwrap();
-    for (solver, cell) in solvers.iter().zip(&cells) {
-        let sizes: Vec<f64> = seeds
-            .iter()
-            .map(|&s| {
-                solver
-                    .solve(&workloads[0].1, &SolveContext::seeded(s))
-                    .unwrap()
-                    .size() as f64
-            })
-            .collect();
-        let mean = sizes.iter().sum::<f64>() / sizes.len() as f64;
-        assert_eq!(cell.runs, seeds.len());
-        assert_eq!(cell.failures, 0);
-        assert!((cell.size.mean - mean).abs() < 1e-12, "{}", solver.spec());
+    assert_eq!(records.len(), solvers.len() * seeds.len());
+    for (solver, cell) in solvers.iter().zip(records.chunks(seeds.len())) {
+        for (&seed, record) in seeds.iter().zip(cell) {
+            let report = solver
+                .solve(&workloads[0].1, &SolveContext::seeded(seed))
+                .unwrap();
+            let tag = format!("{} seed {seed}", solver.spec());
+            assert_eq!(
+                (record.solver.as_str(), record.seed),
+                (solver.spec().as_str(), seed)
+            );
+            assert!(record.outcome.dominates, "{tag}");
+            assert_eq!(record.outcome.size, report.size() as f64, "{tag}");
+            assert_eq!(record.outcome.rounds, report.rounds() as f64, "{tag}");
+            assert_eq!(record.outcome.messages, report.messages() as f64, "{tag}");
+            assert_eq!(record.outcome.bits, report.metrics.bits as f64, "{tag}");
+            assert_eq!(
+                Some(record.outcome.ratio_vs_lemma1),
+                report.ratio_vs_lemma1(),
+                "{tag}"
+            );
+        }
     }
 }
 
