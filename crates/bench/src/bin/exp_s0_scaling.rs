@@ -17,8 +17,8 @@
 //!   per cell appended to the run store at `KW_RUN_STORE` (default
 //!   `target/exp_s0_scaling.jsonl`) — the trace lines carry the
 //!   per-thread-count `total_us` the `regress` scaling gate
-//!   (`compare_scaling`, `--scaling-drop`) anchors against the 1-thread
-//!   run.
+//!   (`kw_results::regress::gate`, fixed 20% drop budget) anchors
+//!   against the 1-thread run.
 //!
 //! `KW_BENCH_QUICK=1` (as CI's scaling_smoke step sets) shrinks to
 //! flood-only, n = 2_000, 4 rounds, threads 1/2, single repetition.

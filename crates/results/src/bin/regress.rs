@@ -1,36 +1,34 @@
 //! Regression gate over run stores.
 //!
 //! ```text
-//! regress <baseline.jsonl> <candidate.jsonl> [--time-ratio R]
-//!         [--quality-ratio R] [--min-wall-ms X] [--phase-share-drift D]
-//!         [--scaling-drop D]
+//! regress <baseline.jsonl> <candidate.jsonl>
 //! regress --validate <store.jsonl>
 //! regress --check-json <file.json>
 //! regress --render-bench <store.jsonl> <out.json>
 //! ```
 //!
-//! Compares the candidate store's summary (plus bench lines and trace
-//! phase shares) against the baseline's; prints every finding and exits
-//! 1 if any, 0 when clean, 2 on usage or load errors. `--validate` just
-//! schema-checks one store (CI uses it on freshly written bench and
-//! profile stores, whose absolute timings are machine-dependent and
-//! therefore not gated). `--check-json` verifies a file parses as JSON
-//! (CI uses it on exported Chrome traces). `--render-bench` regenerates
-//! the human-readable `BENCH_engine.json` view from a bench store — the
-//! JSONL store is the source of truth; the JSON view is derived.
+//! Diffs the candidate store against the baseline with
+//! [`kw_results::regress::gate`] — record cells, bench lines, trace
+//! phase shares and multi-thread speedups, each under its fixed budget;
+//! prints every finding and exits 1 if any, 0 when clean, 2 on usage or
+//! load errors. `--validate` just schema-checks one store (CI uses it on
+//! freshly written stores, whose absolute timings are machine-dependent
+//! and therefore only self-compared). `--check-json` verifies a file
+//! parses as JSON (CI uses it on exported Chrome traces).
+//! `--render-bench` regenerates the human-readable `BENCH_engine.json`
+//! view from a bench store — the JSONL store is the source of truth;
+//! the JSON view is derived.
 
 use kw_results::json::Json;
 use kw_results::regress::{
-    compare, compare_benches, compare_scaling, compare_traces, RegressPolicy,
+    gate, latest_benches, MAX_PHASE_SHARE_DRIFT, MAX_QUALITY_RATIO, MAX_SCALING_DROP,
+    MAX_TIME_RATIO,
 };
 use kw_results::store::{load_path, StoreContents};
-use kw_results::summary::Summary;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: regress <baseline.jsonl> <candidate.jsonl> \
-         [--time-ratio R] [--quality-ratio R] [--min-wall-ms X] \
-         [--phase-share-drift D] [--scaling-drop D]\n\
+        "usage: regress <baseline.jsonl> <candidate.jsonl>\n\
          \x20      regress --validate <store.jsonl>\n\
          \x20      regress --check-json <file.json>\n\
          \x20      regress --render-bench <store.jsonl> <out.json>"
@@ -53,6 +51,24 @@ fn load(path: &str) -> StoreContents {
             std::process::exit(2);
         }
     }
+}
+
+/// `--validate`: schema-check one store and print its line counts.
+fn validate(path: &str) -> ! {
+    let contents = load(path);
+    println!(
+        "{path}: valid ({} manifests, {} records, {} bench lines, {} trace lines{})",
+        contents.manifests.len(),
+        contents.records.len(),
+        contents.benches.len(),
+        contents.traces.len(),
+        if contents.truncated_tail {
+            ", torn tail skipped"
+        } else {
+            ""
+        }
+    );
+    std::process::exit(0);
 }
 
 /// `--check-json`: the file must parse as a single JSON value. Used by
@@ -86,9 +102,9 @@ fn check_json(path: &str) -> ! {
 }
 
 /// `--render-bench`: regenerate the pretty JSON view of a bench store.
-/// Groups bench lines by group name, keeping the latest measurement per
-/// `(bench, id)` (re-runs append; newest wins), and stamps the render
-/// with its provenance so nobody mistakes the view for the data.
+/// Groups the latest measurement per `(bench, id)` (re-runs append;
+/// newest wins) by group name, and stamps the render with its
+/// provenance so nobody mistakes the view for the data.
 fn render_bench(store_path: &str, out_path: &str) -> ! {
     let contents = load(store_path);
     if contents.benches.is_empty() {
@@ -96,17 +112,10 @@ fn render_bench(store_path: &str, out_path: &str) -> ! {
         std::process::exit(2);
     }
     let mut groups: Vec<(String, Vec<(String, f64)>)> = Vec::new();
-    for b in &contents.benches {
-        let group = match groups.iter_mut().find(|(name, _)| *name == b.bench) {
-            Some((_, ids)) => ids,
-            None => {
-                groups.push((b.bench.clone(), Vec::new()));
-                &mut groups.last_mut().expect("just pushed").1
-            }
-        };
-        match group.iter_mut().find(|(id, _)| *id == b.id) {
-            Some((_, ms)) => *ms = b.best_ms,
-            None => group.push((b.id.clone(), b.best_ms)),
+    for (bench, id, ms) in latest_benches(&contents.benches) {
+        match groups.iter_mut().find(|(name, _)| *name == bench) {
+            Some((_, ids)) => ids.push((id, ms)),
+            None => groups.push((bench, vec![(id, ms)])),
         }
     }
     let rendered = Json::obj([
@@ -158,84 +167,25 @@ fn render_bench(store_path: &str, out_path: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("--validate") => {
-            let [_, path] = args.as_slice() else { usage() };
-            let contents = load(path);
-            println!(
-                "{path}: valid ({} manifests, {} records, {} bench lines, {} trace lines{})",
-                contents.manifests.len(),
-                contents.records.len(),
-                contents.benches.len(),
-                contents.traces.len(),
-                if contents.truncated_tail {
-                    ", torn tail skipped"
-                } else {
-                    ""
-                }
-            );
-            return;
+    let [baseline_path, candidate_path] = match args.as_slice() {
+        [flag, path] if flag == "--validate" => validate(path),
+        [flag, path] if flag == "--check-json" => check_json(path),
+        [flag, store_path, out_path] if flag == "--render-bench" => {
+            render_bench(store_path, out_path)
         }
-        Some("--check-json") => {
-            let [_, path] = args.as_slice() else { usage() };
-            check_json(path);
-        }
-        Some("--render-bench") => {
-            let [_, store_path, out_path] = args.as_slice() else {
-                usage()
-            };
-            render_bench(store_path, out_path);
-        }
-        _ => {}
-    }
-    let mut policy = RegressPolicy::default();
-    let mut paths = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut flag = |target: &mut f64| match it.next().and_then(|v| v.parse().ok()) {
-            Some(v) => *target = v,
-            None => usage(),
-        };
-        match arg.as_str() {
-            "--time-ratio" => flag(&mut policy.max_time_ratio),
-            "--quality-ratio" => flag(&mut policy.max_quality_ratio),
-            "--min-wall-ms" => flag(&mut policy.min_wall_ms),
-            "--phase-share-drift" => flag(&mut policy.max_phase_share_drift),
-            "--scaling-drop" => flag(&mut policy.max_scaling_drop),
-            _ if arg.starts_with("--") => usage(),
-            _ => paths.push(arg.clone()),
-        }
-    }
-    let [baseline_path, candidate_path] = paths.as_slice() else {
-        usage()
+        [a, b] if !a.starts_with("--") && !b.starts_with("--") => [a, b],
+        _ => usage(),
     };
-    let baseline = load(baseline_path);
-    let candidate = load(candidate_path);
-    let mut findings = compare(
-        &Summary::from_records(&baseline.records),
-        &Summary::from_records(&candidate.records),
-        &policy,
-    );
-    findings.extend(compare_benches(
-        &baseline.benches,
-        &candidate.benches,
-        &policy,
-    ));
-    findings.extend(compare_traces(&baseline.traces, &candidate.traces, &policy));
-    findings.extend(compare_scaling(
-        &baseline.traces,
-        &candidate.traces,
-        &policy,
-    ));
+    let findings = gate(&load(baseline_path), &load(candidate_path));
     if findings.is_empty() {
         println!(
             "regress: OK — {candidate_path} holds the line against {baseline_path} \
              (time budget {:.0}%, quality budget {:.0}%, phase-share budget {:.0}pp, \
              scaling budget {:.0}%)",
-            (policy.max_time_ratio - 1.0) * 100.0,
-            (policy.max_quality_ratio - 1.0) * 100.0,
-            policy.max_phase_share_drift * 100.0,
-            policy.max_scaling_drop * 100.0,
+            (MAX_TIME_RATIO - 1.0) * 100.0,
+            (MAX_QUALITY_RATIO - 1.0) * 100.0,
+            MAX_PHASE_SHARE_DRIFT * 100.0,
+            MAX_SCALING_DROP * 100.0,
         );
         return;
     }

@@ -23,14 +23,14 @@
 //!   cell and per solver with [`summary::Percentiles`] (mean/p50/p95/p99;
 //!   quality stats exclude non-dominating runs), rendering to markdown
 //!   or CSV.
-//! * **Regression gating** — [`regress::compare`] diffs a fresh summary
-//!   against a stored baseline and flags quality growth, new failures,
-//!   and ≥20% time regressions; `regress::compare_benches` does the same
-//!   for bench lines, and `regress::compare_traces` gates the *shape* of
-//!   profiles (per-phase share drift, matched by thread count). The
-//!   `regress` binary exits non-zero on findings, and `store_smoke` is
-//!   the CI end-to-end check (sweep → validate → resume → 100% cache
-//!   hits).
+//! * **Regression gating** — [`regress::gate`] diffs a fresh store
+//!   against a stored baseline in one keyed pass and flags quality
+//!   growth, new failures, ≥20% time regressions of record cells and
+//!   bench lines, missing cells and benches, and changes in the *shape*
+//!   of profiles (per-phase share drift and lost multi-thread speedup,
+//!   matched by thread count). The `regress` binary exits non-zero on
+//!   findings, and `store_smoke` is the CI end-to-end check (sweep →
+//!   validate → resume → 100% cache hits).
 //! * **Traces** — profiled solves ([`kw_trace`] spans through
 //!   `SolveContext::trace`) persist as `trace` store lines
 //!   ([`store::TraceRecord`]) and roll up per solver × workload ×
@@ -54,7 +54,7 @@ pub mod store;
 pub mod summary;
 
 pub use pipeline::{stream_sweep, PipelineError, SweepOutcome, SweepSession};
-pub use regress::{compare, compare_benches, compare_traces, RegressPolicy, Regression};
+pub use regress::{gate, Check, Regression};
 pub use render::Table;
 pub use store::{
     load_path, BenchRecord, RunManifest, RunStore, StoreError, TraceRecord, SCHEMA_VERSION,

@@ -118,16 +118,26 @@ pub struct CellRollup {
 }
 
 impl CellRollup {
-    /// The workload as tables show it: `workload@Nt` when the cell ran
-    /// at `N ≠ 1` engine threads, so 1-thread tables read as they always
-    /// have.
+    /// The workload as tables show it (chaos has its own column).
     pub(crate) fn workload_label(&self) -> String {
-        if self.threads == 1 {
-            self.workload.clone()
-        } else {
-            format!("{}@{}t", self.workload, self.threads)
-        }
+        cell_label(&self.workload, "", self.threads)
     }
+}
+
+/// The one label of a `(workload, chaos, threads)` cell, as tables and
+/// regression findings show it: `workload[@Nt][ (chaos:spec)]`, with
+/// `@Nt` only when the cell ran at `N ≠ 1` engine threads (so 1-thread
+/// labels read as they always have) and the chaos suffix only for a
+/// non-reliable spec.
+pub(crate) fn cell_label(workload: &str, chaos: &str, threads: usize) -> String {
+    let mut label = workload.to_string();
+    if threads != 1 {
+        let _ = write!(label, "@{threads}t");
+    }
+    if !chaos.is_empty() {
+        let _ = write!(label, " (chaos:{chaos})");
+    }
+    label
 }
 
 /// One solver aggregated over every workload and seed it ran.

@@ -8,8 +8,8 @@ use std::path::PathBuf;
 use kw_core::solver::{ExperimentRunner, RunEvent, SolverRegistry};
 use kw_graph::generators;
 use kw_results::pipeline::{PipelineError, SweepSession};
-use kw_results::regress::{compare, RegressPolicy, Regression};
-use kw_results::store::RunStore;
+use kw_results::regress::{gate, Check};
+use kw_results::store::{RunStore, StoreContents};
 use kw_results::summary::Summary;
 use kw_results::RunRecord;
 
@@ -120,12 +120,11 @@ fn regress_gate_fails_on_injected_2x_slowdown_against_stored_baseline() {
     assert_eq!(baseline.records.len(), out.records.len());
 
     // A fresh run with identical quality and timing passes the gate.
-    let base_summary = Summary::from_records(&baseline.records);
-    assert!(compare(&base_summary, &base_summary, &RegressPolicy::default()).is_empty());
+    assert!(gate(&baseline, &baseline).is_empty());
 
     // Inject a 2× slowdown into otherwise identical records: the gate
     // must fail (exit non-zero in the `regress` binary, which forwards
-    // `compare`'s findings).
+    // `gate`'s findings).
     let slowed: Vec<RunRecord> = baseline
         .records
         .iter()
@@ -147,18 +146,21 @@ fn regress_gate_fails_on_injected_2x_slowdown_against_stored_baseline() {
             r
         })
         .collect();
-    let findings = compare(
-        &Summary::from_records(&base_above_noise),
-        &Summary::from_records(&slowed),
-        &RegressPolicy::default(),
+    let findings = gate(
+        &StoreContents {
+            records: base_above_noise,
+            ..Default::default()
+        },
+        &StoreContents {
+            records: slowed,
+            ..Default::default()
+        },
     );
     assert!(
         !findings.is_empty(),
         "2x slowdown must trip the >=20% time gate"
     );
-    assert!(findings
-        .iter()
-        .all(|f| matches!(f, Regression::Time { .. })));
+    assert!(findings.iter().all(|f| f.check == Check::WallTime));
     std::fs::remove_file(&baseline_path).unwrap();
 }
 

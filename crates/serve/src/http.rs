@@ -127,33 +127,23 @@ impl fmt::Display for HttpViolation {
 /// * `Err(violation)` — protocol error; answer [`HttpViolation::status`]
 ///   and close.
 pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpViolation> {
-    // Find the header terminator, refusing to scan (or buffer) beyond
-    // the header cap.
-    let window = &buf[..buf.len().min(MAX_HEADER_BYTES)];
-    let head_end = match find(window, b"\r\n\r\n") {
-        Some(i) => i,
-        None => {
-            if buf.len() >= MAX_HEADER_BYTES {
-                return Err(HttpViolation::HeadersTooLarge);
-            }
-            return Ok(None);
-        }
+    let Some(framed) = frame(buf, MAX_BODY_BYTES, request_line)? else {
+        return Ok(None);
     };
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| HttpViolation::Malformed("header bytes are not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    // A stray CR or LF inside any header line means the client's line
-    // endings are broken (bare-LF terminators, smuggled CRs): reject
-    // rather than guess.
-    if head
-        .split("\r\n")
-        .any(|l| l.contains('\r') || l.contains('\n'))
-    {
-        return Err(HttpViolation::Malformed("bare CR or LF in header block"));
-    }
+    let (method, target, http11) = framed.start;
+    let request = Request {
+        method,
+        target,
+        http11,
+        headers: framed.headers,
+        body: framed.body.to_vec(),
+    };
+    Ok(Some((request, framed.consumed)))
+}
 
-    let parts: Vec<&str> = request_line.split(' ').collect();
+/// Parses `METHOD SP TARGET SP VERSION` into `(method, target, http11)`.
+fn request_line(line: &str) -> Result<(String, String, bool), HttpViolation> {
+    let parts: Vec<&str> = line.split(' ').collect();
     let [method, target, version] = parts.as_slice() else {
         return Err(HttpViolation::Malformed(
             "request line must be `METHOD SP TARGET SP VERSION`",
@@ -172,6 +162,56 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpViolati
         "HTTP/1.0" => false,
         _ => return Err(HttpViolation::Malformed("unsupported HTTP version")),
     };
+    Ok((method.to_string(), target.to_string(), http11))
+}
+
+/// One message framed by [`frame`].
+pub(crate) struct Framed<'a, T> {
+    /// The start line, as the caller's parser read it.
+    pub(crate) start: T,
+    /// Header fields in arrival order, names as sent, values trimmed.
+    pub(crate) headers: Vec<(String, String)>,
+    /// Exactly `Content-Length` body bytes.
+    pub(crate) body: &'a [u8],
+    /// Bytes of `buf` the message occupies.
+    pub(crate) consumed: usize,
+}
+
+/// Frames one HTTP/1.1 message — a request for [`parse_request`], a
+/// response for the `kw-load` client — from the front of `buf`: finds
+/// the head terminator within [`MAX_HEADER_BYTES`], splits the header
+/// block (the start line goes to `start`), and takes exactly one
+/// `Content-Length` of at most `max_body` bytes as the body, with
+/// checked arithmetic throughout. `Ok(None)` means "within limits, read
+/// more bytes"; no input panics.
+pub(crate) fn frame<T>(
+    buf: &[u8],
+    max_body: usize,
+    start: impl FnOnce(&str) -> Result<T, HttpViolation>,
+) -> Result<Option<Framed<'_, T>>, HttpViolation> {
+    // Find the header terminator, refusing to scan (or buffer) beyond
+    // the header cap.
+    let window = buf.get(..MAX_HEADER_BYTES).unwrap_or(buf);
+    let Some(head_end) = find(window, b"\r\n\r\n") else {
+        if buf.len() >= MAX_HEADER_BYTES {
+            return Err(HttpViolation::HeadersTooLarge);
+        }
+        return Ok(None);
+    };
+    let head = std::str::from_utf8(window.get(..head_end).unwrap_or_default())
+        .map_err(|_| HttpViolation::Malformed("header bytes are not UTF-8"))?;
+    let mut lines = head.split("\r\n");
+    let start_line = lines.next().unwrap_or("");
+    // A stray CR or LF inside any header line means the peer's line
+    // endings are broken (bare-LF terminators, smuggled CRs): reject
+    // rather than guess.
+    if head
+        .split("\r\n")
+        .any(|l| l.contains('\r') || l.contains('\n'))
+    {
+        return Err(HttpViolation::Malformed("bare CR or LF in header block"));
+    }
+    let start = start(start_line)?;
 
     let mut headers: Vec<(String, String)> = Vec::new();
     for line in lines {
@@ -192,47 +232,44 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpViolati
         headers.push((name.to_string(), value.trim().to_string()));
     }
 
-    let request = Request {
-        method: method.to_string(),
-        target: target.to_string(),
-        http11,
-        headers,
-        body: Vec::new(),
-    };
-
     // Body framing. Transfer-Encoding (chunked included) is refused
-    // outright — a solve request has no business streaming — so
-    // Content-Length is the only accepted framing.
-    if request.header("transfer-encoding").is_some() {
+    // outright — a solve request has no business streaming — so exactly
+    // one Content-Length is the only accepted framing.
+    let named = |name: &'static str| {
+        headers
+            .iter()
+            .filter(move |(k, _)| k.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v.as_str())
+    };
+    if named("transfer-encoding").next().is_some() {
         return Err(HttpViolation::ChunkedUnsupported);
     }
-    let content_lengths: Vec<&str> = request
-        .headers
-        .iter()
-        .filter(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .map(|(_, v)| v.as_str())
-        .collect();
-    if content_lengths.len() > 1 {
-        return Err(HttpViolation::Malformed("multiple Content-Length headers"));
-    }
-    let content_length = match content_lengths.first() {
-        None => 0usize,
-        Some(v) => v
+    let mut lengths = named("content-length");
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => 0usize,
+        (Some(_), Some(_)) => {
+            return Err(HttpViolation::Malformed("multiple Content-Length headers"))
+        }
+        (Some(v), None) => v
             .parse::<usize>()
             .map_err(|_| HttpViolation::Malformed("unparseable Content-Length"))?,
     };
-    if content_length > MAX_BODY_BYTES {
+    if content_length > max_body {
         return Err(HttpViolation::BodyTooLarge);
     }
 
-    let body_start = head_end + 4;
-    let total = body_start + content_length;
-    if buf.len() < total {
+    let consumed = (head_end + 4)
+        .checked_add(content_length)
+        .ok_or(HttpViolation::BodyTooLarge)?;
+    let Some(body) = buf.get(head_end + 4..consumed) else {
         return Ok(None); // body promised and within limits: keep reading
-    }
-    let mut request = request;
-    request.body = buf[body_start..total].to_vec();
-    Ok(Some((request, total)))
+    };
+    Ok(Some(Framed {
+        start,
+        headers,
+        body,
+        consumed,
+    }))
 }
 
 fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {

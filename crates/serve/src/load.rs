@@ -19,6 +19,8 @@ use kw_bench::mix::MixEntry;
 use kw_results::store::{BenchRecord, RunStore, StoreError};
 use kw_results::Percentiles;
 
+use crate::http::{frame, HttpViolation};
+
 /// A response as the minimal client sees it.
 #[derive(Clone, Debug)]
 pub struct ClientResponse {
@@ -74,37 +76,34 @@ pub fn http_request(
     }
 }
 
+/// Largest response body the client accepts. The daemon's answers are
+/// small JSON objects and a `/metrics` page; anything near this cap is
+/// a broken or hostile peer, not a response to buffer.
+const MAX_RESPONSE_BODY_BYTES: usize = 16 * 1024 * 1024;
+
+/// Frames one response with the daemon's own HTTP framing; malformed or
+/// oversized responses are `InvalidData` errors, never panics.
 fn parse_client_response(buf: &[u8]) -> std::io::Result<Option<ClientResponse>> {
-    let head_end = match buf.windows(4).position(|w| w == b"\r\n\r\n") {
-        Some(i) => i,
-        None => return Ok(None),
+    let status_line = |line: &str| {
+        line.split(' ')
+            .nth(1)
+            .and_then(|s| s.parse::<u16>().ok())
+            .ok_or(HttpViolation::Malformed("bad status line"))
     };
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| std::io::Error::new(ErrorKind::InvalidData, "non-UTF-8 response head"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidData, "bad status line"))?;
-    let mut content_length = 0usize;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse::<usize>().map_err(|_| {
-                    std::io::Error::new(ErrorKind::InvalidData, "bad Content-Length")
-                })?;
+    let framed = frame(buf, MAX_RESPONSE_BODY_BYTES, status_line).map_err(|v| {
+        let reason = match v {
+            HttpViolation::Malformed(reason) => reason.to_string(),
+            HttpViolation::HeadersTooLarge => "response head exceeds limits".to_string(),
+            HttpViolation::BodyTooLarge => {
+                format!("response body exceeds {MAX_RESPONSE_BODY_BYTES} bytes")
             }
-        }
-    }
-    let body_start = head_end + 4;
-    if buf.len() < body_start + content_length {
-        return Ok(None);
-    }
-    Ok(Some(ClientResponse {
-        status,
-        body: buf[body_start..body_start + content_length].to_vec(),
+            HttpViolation::ChunkedUnsupported => "Transfer-Encoding is not supported".to_string(),
+        };
+        std::io::Error::new(ErrorKind::InvalidData, reason)
+    })?;
+    Ok(framed.map(|f| ClientResponse {
+        status: f.start,
+        body: f.body.to_vec(),
     }))
 }
 
@@ -297,4 +296,25 @@ pub fn append_bench_records(path: &std::path::Path, report: &LoadReport) -> Resu
         })?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `Content-Length` near `usize::MAX` must be refused, not added
+    /// to the body offset (which overflows) or sliced with.
+    #[test]
+    fn client_rejects_a_huge_content_length() {
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nx";
+        let err = parse_client_response(raw).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn client_rejects_duplicate_content_lengths() {
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nxy";
+        let err = parse_client_response(raw).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    }
 }

@@ -261,10 +261,10 @@
 //! the run store (schema v4 keys records by it — outcomes are
 //! thread-invariant but wall times are not), `POST /solve` bodies and
 //! the `scaling` request mix, and the `exp_s0_scaling` experiment plus
-//! `regress`'s scaling gate
-//! ([`compare_scaling`](kw_results::regress::compare_scaling),
-//! `--scaling-drop`), which watches each multi-thread cell's speedup
-//! against its own 1-thread anchor.
+//! `regress`'s scaling gate ([`gate`](kw_results::regress::gate), with
+//! the fixed [`MAX_SCALING_DROP`](kw_results::regress::MAX_SCALING_DROP)
+//! budget), which watches each multi-thread cell's speedup against its
+//! own 1-thread anchor.
 //!
 //! # Chaos, churn, and adversaries
 //!
@@ -360,9 +360,9 @@
 //! v3, [`TraceRecord`](kw_results::store::TraceRecord)), roll up to a
 //! where-does-time-go markdown table
 //! ([`TraceRollup`](kw_results::TraceRollup)), and gate in `regress`:
-//! [`compare_traces`](kw_results::compare_traces) flags any engine
-//! phase whose share of total phase time drifts by more than 15
-//! percentage points against the stored baseline. `POST /solve` takes
+//! [`gate`](kw_results::gate) flags any engine phase whose share of
+//! total phase time drifts by more than 15 percentage points against
+//! the stored baseline. `POST /solve` takes
 //! `"trace": true` and answers with the rollup inline; `GET /metrics`
 //! exports cumulative per-phase counters
 //! (`kw_serve_solve_phase_us_total{phase="..."}`).

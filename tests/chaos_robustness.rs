@@ -11,8 +11,8 @@ use kw_core::composite::CompositeMsg;
 use kw_core::rounding::RoundingMsg;
 use kw_core::solver::{ExperimentRunner, SolveContext};
 use kw_graph::generators;
-use kw_results::regress::{compare, RegressPolicy};
-use kw_results::summary::Summary;
+use kw_results::regress::gate;
+use kw_results::store::StoreContents;
 use kw_results::SweepSession;
 use kw_sim::wire::{BitReader, BitWriter, WireEncode};
 use kw_sim::ChaosPlan;
@@ -229,8 +229,14 @@ fn full_chaos_cell_survives_persist_resume_and_regress() {
     // Regress gating: the resumed records match the original cell
     // exactly (chaos-aware), and the unrelated chaos cell doesn't
     // cross-compare with it.
-    let baseline = Summary::from_records(&out.records);
-    let fresh = Summary::from_records(&replay.records);
-    assert!(compare(&baseline, &fresh, &RegressPolicy::default()).is_empty());
+    let baseline = StoreContents {
+        records: out.records,
+        ..Default::default()
+    };
+    let fresh = StoreContents {
+        records: replay.records,
+        ..Default::default()
+    };
+    assert!(gate(&baseline, &fresh).is_empty());
     let _ = std::fs::remove_file(&store);
 }
